@@ -10,32 +10,33 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .groups import Group, SetLike, subgroup_generated_by
-from .sets import ElemSet, Subgroup, ids_from_mask
+from .sets import ElemSet, Subgroup
 
 
-def _centralizer_mask(G: Group, ids) -> int:
-    mask = G.full_mask
+def centralizer_mask(G: Group, mask: int) -> int:
+    """Bitmask of C_G(S) for the subset S with bitmask ``mask``; 0 gives G."""
+    if mask < 0 or mask >> G.order:
+        raise ValueError(f"mask has bits outside the group of order {G.order}")
+    result = G.full_mask
     zmask = G.center.mask
     cms = G.cent_masks
-    for s in ids:
-        mask &= cms[s]
-        if mask == zmask:
+    while mask:
+        low = mask & -mask
+        result &= cms[low.bit_length() - 1]
+        if result == zmask:
             break  # the intersection can never drop below Z(G)
-    return mask
-
-
-def _closure_mask(G: Group, ids) -> int:
-    return _centralizer_mask(G, ids_from_mask(_centralizer_mask(G, ids)))
+        mask ^= low
+    return result
 
 
 def centralizer(G: Group, S: SetLike) -> Subgroup:
     """C_G(S): all elements commuting with every member of S; C_G(empty) = G."""
-    return Subgroup(G.order, _centralizer_mask(G, G.set_ids(S)))
+    return Subgroup(G.order, centralizer_mask(G, G.elem_set(S).mask))
 
 
 def closure(G: Group, S: SetLike) -> Subgroup:
     """The double centralizer C_G(C_G(S)): extensive, monotone, idempotent."""
-    return Subgroup(G.order, _closure_mask(G, G.set_ids(S)))
+    return Subgroup(G.order, centralizer_mask(G, centralizer_mask(G, G.elem_set(S).mask)))
 
 
 def fiber_supremum(G: Group, S: SetLike) -> Subgroup:
@@ -45,7 +46,7 @@ def fiber_supremum(G: Group, S: SetLike) -> Subgroup:
 
 def element_center(G: Group, g: int) -> Subgroup:
     """Z(g) = C_G(C_G(g)), the (always abelian) center of C_G(g)."""
-    return Subgroup(G.order, _centralizer_mask(G, ids_from_mask(G.cent_masks[g])))
+    return Subgroup(G.order, centralizer_mask(G, G.cent_masks[g]))
 
 
 def is_abelian_subset(G: Group, S: SetLike) -> bool:
@@ -98,8 +99,8 @@ def z_star_partition(G: Group) -> tuple[CentClass, ...]:
         member_masks[idx] |= 1 << g
     classes = []
     for cm, mm in zip(masks, member_masks):
-        rep = ids_from_mask(mm)[0]
-        ecm = _centralizer_mask(G, ids_from_mask(cm))
+        rep = (mm & -mm).bit_length() - 1
+        ecm = centralizer_mask(G, cm)
         classes.append(
             CentClass(
                 representative=rep,
@@ -132,7 +133,7 @@ def u_star(G: Group, H: SetLike, X: SetLike) -> ElemSet:
     contain exactly one representative per Z*-class; then C_G(U*_H) = H.
     """
     H = G.elem_set(H)
-    if _closure_mask(G, H.members) != H.mask:
+    if centralizer_mask(G, centralizer_mask(G, H.mask)) != H.mask:
         raise ValueError("H is not a centralizer (not closed under the double centralizer)")
     classes = z_star_partition(G)
     class_of = G._zstar_class_of

@@ -7,12 +7,14 @@ samples above that, so identical invocations always test identical cases.
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from .centralizers import (
     centralizer,
+    centralizer_mask,
     class_transversal,
     closure,
     is_abelian_subset,
@@ -35,7 +37,7 @@ from .moebius import (
     moebius,
     p_group_prime,
 )
-from .sets import ElemSet, ids_from_mask
+from .sets import ElemSet, ids_from_mask, mask_from_ids
 
 SUITES = ("algebra", "lattice", "partition", "moebius", "graphs")
 
@@ -63,8 +65,8 @@ class PropertyResult:
         }
 
 
-def _ids_str(ids) -> str:
-    ids = tuple(ids)
+def _mask_str(mask: int) -> str:
+    ids = ids_from_mask(mask)
     shown = ",".join(map(str, ids[:12]))
     if len(ids) > 12:
         shown += f",... ({len(ids)} ids)"
@@ -85,15 +87,49 @@ class _Suite:
 
 
 def _subset_pool(G: Group, rng: random.Random, samples: int, max_size: Optional[int] = None):
+    """Subset masks: the whole power set up to EXHAUSTIVE_LIMIT, else a seeded sample."""
     n = G.order
     if n <= EXHAUSTIVE_LIMIT:
-        return [ids_from_mask(m) for m in range(1 << n)]
+        return range(1 << n)
     pool = []
     cap = n if max_size is None else min(n, max_size)
     for _ in range(samples):
         k = rng.randint(0, cap)
-        pool.append(tuple(sorted(rng.sample(range(n), k))))
+        pool.append(mask_from_ids(rng.sample(range(n), k)))
     return pool
+
+
+def _centralizer_table(G: Group) -> list[int]:
+    """C(m) for every subset mask m, from C(m) = C(m minus its top bit) & C(top bit)."""
+    table = [G.full_mask]
+    for cm in G.cent_masks:
+        table += [c & cm for c in table]
+    return table
+
+
+def _subset_pairs(n: int):
+    """Every pair (S, T) of subset masks with S <= T: T ascending, S descending."""
+    for t_mask in range(1 << n):
+        sub = t_mask
+        while True:
+            yield sub, t_mask
+            if sub == 0:
+                break
+            sub = (sub - 1) & t_mask
+
+
+class _Cases:
+    """A re-iterable stream of cases with a known count, never held as a list."""
+
+    def __init__(self, count: int, generate: Callable):
+        self.count = count
+        self.generate = generate
+
+    def __len__(self) -> int:
+        return self.count
+
+    def __iter__(self):
+        return self.generate()
 
 
 def algebra_suite(G: Group, rng: random.Random, samples: int) -> list[PropertyResult]:
@@ -101,137 +137,122 @@ def algebra_suite(G: Group, rng: random.Random, samples: int) -> list[PropertyRe
     n = G.order
     exhaustive = n <= EXHAUSTIVE_LIMIT
     pool = _subset_pool(G, rng, samples)
-    cm = lambda ids: centralizer(G, ids).mask
+    if exhaustive:
+        cm = _centralizer_table(G).__getitem__
+    else:
+        cm = lambda mask: centralizer_mask(G, mask)
 
-    witness = None if cm(()) == G.full_mask else "C(empty) != G"
+    witness = None if cm(0) == G.full_mask else "C(empty) != G"
     s.record("empty_set_centralizer", witness)
 
     witness = None
-    for ids in pool:
-        res = cm(ids)
-        if not is_subgroup(G, ids_from_mask(res)):
-            witness = f"C({_ids_str(ids)}) is not a subgroup"
+    is_group: dict[int, bool] = {}
+    for m in pool:
+        res = cm(m)
+        if res not in is_group:
+            is_group[res] = is_subgroup(G, ElemSet(n, res))
+        if not is_group[res]:
+            witness = f"C({_mask_str(m)}) is not a subgroup"
             break
     s.record("centralizer_is_subgroup", witness, f"{len(pool)} subsets")
 
     # Antitone law over ordered pairs S <= T.
     witness = None
     if exhaustive:
-        pairs = []
-        for t_mask in range(1 << n):
-            sub = t_mask
-            while True:
-                pairs.append((sub, t_mask))
-                if sub == 0:
-                    break
-                sub = (sub - 1) & t_mask
+        pairs = _Cases(3**n, lambda: _subset_pairs(n))
     else:
         pairs = []
-        for ids in pool:
-            t_mask = 0
-            for i in ids:
-                t_mask |= 1 << i
+        for t_mask in pool:
+            ids = ids_from_mask(t_mask)
             k = rng.randint(0, len(ids))
-            s_mask = 0
-            for i in rng.sample(ids, k):
-                s_mask |= 1 << i
-            pairs.append((s_mask, t_mask))
+            pairs.append((mask_from_ids(rng.sample(ids, k)), t_mask))
     for s_mask, t_mask in pairs:
-        if cm(ids_from_mask(t_mask)) & ~cm(ids_from_mask(s_mask)):
-            witness = f"S={_ids_str(ids_from_mask(s_mask))} T={_ids_str(ids_from_mask(t_mask))}"
+        if cm(t_mask) & ~cm(s_mask):
+            witness = f"S={_mask_str(s_mask)} T={_mask_str(t_mask)}"
             break
     s.record("antitone_containment", witness, f"{len(pairs)} subset pairs")
 
     # Intersection law over pairs and a few wider collections.
     witness = None
-    collections = []
+    size = 1 << n
     if exhaustive:
-        collections = [
-            (ids_from_mask(a), ids_from_mask(b))
-            for a in range(1 << n)
-            for b in range(1 << n)
-            if a <= b
-        ]
+        collections = _Cases(
+            size * (size + 1) // 2,
+            lambda: ((a, b) for a in range(size) for b in range(a, size)),
+        )
     else:
+        collections = []
         for _ in range(samples):
             k = rng.randint(1, 4)
             collections.append(tuple(
-                tuple(sorted(rng.sample(range(n), rng.randint(0, n // 2))))
+                mask_from_ids(rng.sample(range(n), rng.randint(0, n // 2)))
                 for _ in range(k)
             ))
     for coll in collections:
-        union = sorted(set().union(*map(set, coll))) if coll else []
+        union = 0
         inter = G.full_mask
         for part in coll:
+            union |= part
             inter &= cm(part)
         if cm(union) != inter:
-            witness = " ".join(_ids_str(part) for part in coll)
+            witness = " ".join(_mask_str(part) for part in coll)
             break
     s.record("intersection_law", witness, f"{len(collections)} collections")
 
     # C(S) = C(<S>); generated subgroups kept small on purpose.
     witness = None
-    gen_pool = pool if exhaustive else _subset_pool(G, rng, samples, max_size=6)
-    for ids in gen_pool:
-        if cm(ids) != cm(subgroup_generated_by(G, ids).members):
-            witness = f"S={_ids_str(ids)}"
+    gen_pool = _subset_pool(G, rng, samples, max_size=6)
+    for m in gen_pool:
+        if cm(m) != cm(subgroup_generated_by(G, ElemSet(n, m)).mask):
+            witness = f"S={_mask_str(m)}"
             break
     s.record("generated_subgroup_law", witness, f"{len(gen_pool)} subsets")
 
     witness = None
-    for ids in pool:
-        first = cm(ids)
-        if cm(ids_from_mask(cm(ids_from_mask(first)))) != first:
-            witness = f"S={_ids_str(ids)}"
+    for m in pool:
+        first = cm(m)
+        if cm(cm(first)) != first:
+            witness = f"S={_mask_str(m)}"
             break
     s.record("triple_centralizer", witness, f"{len(pool)} subsets")
 
     # Galois: T <= C(S) iff S <= C(T), over arbitrary pairs.
     witness = None
     if exhaustive:
-        gpairs = [(a, b) for a in range(1 << n) for b in range(1 << n)]
+        gpairs = _Cases(size * size, lambda: itertools.product(range(size), repeat=2))
     else:
         gpairs = []
         for _ in range(samples):
-            a = 0
-            for i in rng.sample(range(n), rng.randint(0, n)):
-                a |= 1 << i
-            b = 0
-            for i in rng.sample(range(n), rng.randint(0, n)):
-                b |= 1 << i
+            a = mask_from_ids(rng.sample(range(n), rng.randint(0, n)))
+            b = mask_from_ids(rng.sample(range(n), rng.randint(0, n)))
             gpairs.append((a, b))
     for a, b in gpairs:
-        lhs = b & ~cm(ids_from_mask(a)) == 0
-        rhs = a & ~cm(ids_from_mask(b)) == 0
-        if lhs != rhs:
-            witness = f"S={_ids_str(ids_from_mask(a))} T={_ids_str(ids_from_mask(b))}"
+        if (b & ~cm(a) == 0) != (a & ~cm(b) == 0):
+            witness = f"S={_mask_str(a)} T={_mask_str(b)}"
             break
     s.record("galois_equivalence", witness, f"{len(gpairs)} pairs")
 
     # Closure-operator axioms for C(C(.)).
-    clm = lambda ids: closure(G, ids).mask
+    clm = lambda mask: cm(cm(mask))
     witness = None
-    for ids in pool:
-        m = 0
-        for i in ids:
-            m |= 1 << i
-        if m & ~clm(ids):
-            witness = f"S={_ids_str(ids)}"
+    for m in pool:
+        if m & ~clm(m):
+            witness = f"S={_mask_str(m)}"
             break
     s.record("closure_extensive", witness, f"{len(pool)} subsets")
 
     witness = None
     for s_mask, t_mask in pairs:
-        if clm(ids_from_mask(s_mask)) & ~clm(ids_from_mask(t_mask)):
-            witness = f"S={_ids_str(ids_from_mask(s_mask))} T={_ids_str(ids_from_mask(t_mask))}"
+        if clm(s_mask) & ~clm(t_mask):
+            witness = f"S={_mask_str(s_mask)} T={_mask_str(t_mask)}"
             break
     s.record("closure_monotone", witness, f"{len(pairs)} subset pairs")
 
     witness = None
-    for ids in pool:
-        once = clm(ids)
-        if clm(ids_from_mask(once)) != once:
-            witness = f"S={_ids_str(ids)}"
+    for m in pool:
+        once = clm(m)
+        if clm(once) != once:
+            witness = f"S={_mask_str(m)}"
             break
     s.record("closure_idempotent", witness, f"{len(pool)} subsets")
     return s.results
@@ -339,7 +360,7 @@ def lattice_suite(G: Group, rng: random.Random, samples: int) -> list[PropertyRe
     if G.order <= POWERSET_ORACLE_LIMIT:
         seen = set()
         for m in range(1 << G.order):
-            seen.add(centralizer(G, ids_from_mask(m)).mask)
+            seen.add(centralizer_mask(G, m))
         witness = None if seen == {node.mask for node in nodes} else "power-set image differs"
         s.record("powerset_agreement", witness, f"all {1 << G.order} subsets")
     else:
@@ -446,16 +467,16 @@ def partition_suite(G: Group, rng: random.Random, samples: int) -> list[Property
     if n <= POWERSET_ORACLE_LIMIT:
         fibers: dict[int, int] = {}
         for m in range(1 << n):
-            cmask = centralizer(G, ids_from_mask(m)).mask
+            cmask = centralizer_mask(G, m)
             fibers[cmask] = fibers.get(cmask, 0) | m
         witness = None
         for cmask, union_mask in fibers.items():
-            rep = ids_from_mask(union_mask)
-            if closure(G, ElemSet(n, union_mask)).mask != union_mask:
-                witness = f"fiber union {_ids_str(rep)} is not closed"
+            union_cmask = centralizer_mask(G, union_mask)
+            if centralizer_mask(G, union_cmask) != union_mask:
+                witness = f"fiber union {_mask_str(union_mask)} is not closed"
                 break
-            if centralizer(G, ElemSet(n, union_mask)).mask != cmask:
-                witness = f"fiber union {_ids_str(rep)} changes the centralizer"
+            if union_cmask != cmask:
+                witness = f"fiber union {_mask_str(union_mask)} changes the centralizer"
                 break
         s.record("fiber_union_is_closure", witness, f"{len(fibers)} fibers")
     else:

@@ -1,6 +1,7 @@
 """Command-line front end: analyze a group, verify the theorem suite, emit artifacts.
 
-Exit codes: 0 success, 1 check failure, 2 usage or parse error, 3 I/O error.
+Exit codes: 0 success, 1 check failure, 2 usage or parse error, 3 I/O error,
+4 internal error (a broken theorem-backed invariant, or out of memory).
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from .graphs import (
 from .groups import (
     BUILTIN_FAMILIES,
     Group,
+    InvariantViolation,
     builtin_group,
     direct_product,
     group_from_cayley_table,
@@ -45,6 +47,7 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 EXIT_IO = 3
+EXIT_INTERNAL = 4
 
 ARTIFACTS = ("lattice-dot", "poset-dot", "commuting-dot", "centgraph-dot", "degrees-csv")
 
@@ -340,6 +343,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     except ValueError as exc:
         sys.stderr.write(f"centra: {exc}\n")
         return EXIT_USAGE
+    except (InvariantViolation, MemoryError) as exc:
+        sys.stderr.write(f"centra: internal error: {str(exc) or type(exc).__name__}\n")
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

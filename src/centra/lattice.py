@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import Optional, Union
 
-from .centralizers import z_star_partition, _centralizer_mask
+from .centralizers import centralizer_mask, z_star_partition
 from .groups import Group, InvariantViolation, SetLike, subgroup_generated_by, subgroup_label
 from .sets import ElemSet, Subgroup, ids_from_mask
 
@@ -32,7 +32,7 @@ class CentLattice:
         self._index = {m: i for i, m in enumerate(masks)}
         dual = []
         for m in masks:
-            dm = _centralizer_mask(group, ids_from_mask(m))
+            dm = centralizer_mask(group, m)
             if dm not in self._index:
                 raise InvariantViolation("dual of a lattice node is not a node")
             dual.append(self._index[dm])
@@ -71,7 +71,7 @@ class CentLattice:
         """H ∨ K: the centralizer of C_G(H) ∩ C_G(K)."""
         i, j = self.index_of(H), self.index_of(K)
         am = self.nodes[self.dual[i]].mask & self.nodes[self.dual[j]].mask
-        jm = _centralizer_mask(self.group, ids_from_mask(am))
+        jm = centralizer_mask(self.group, am)
         if jm not in self._index:
             raise InvariantViolation("join of lattice nodes is not a node")
         return self.nodes[self._index[jm]]

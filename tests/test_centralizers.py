@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 import centra as c
@@ -8,7 +10,7 @@ from conftest import (
     naive_centralizer,
     naive_closure,
 )
-from centra.sets import ids_from_mask
+from centra.sets import ids_from_mask, mask_from_ids
 
 
 class TestCentralizer:
@@ -39,6 +41,32 @@ class TestCentralizer:
             for _ in range(15):
                 ids = rng.sample(range(G.order), rng.randint(0, G.order // 2))
                 assert c.is_subgroup(G, c.centralizer(G, ids))
+
+
+class TestCentralizerMask:
+    def test_matches_naive_oracle_on_power_sets(self, small_groups):
+        for G in small_groups.values():
+            for m in range(1 << G.order):
+                expected = mask_from_ids(naive_centralizer(G, ids_from_mask(m)))
+                assert c.centralizer_mask(G, m) == expected
+
+    @pytest.mark.parametrize("key", ["H3", "D16"])
+    def test_matches_naive_oracle_on_random_masks(self, key, fleet):
+        G = fleet[key]
+        n = G.order
+        rng = random.Random(2000)
+        for _ in range(2000):
+            ids = rng.sample(range(n), rng.randint(0, n))
+            assert c.centralizer_mask(G, mask_from_ids(ids)) == mask_from_ids(naive_centralizer(G, ids))
+
+    def test_empty_mask_gives_whole_group(self, fleet):
+        for G in fleet.values():
+            assert c.centralizer_mask(G, 0) == G.full_mask
+
+    def test_rejects_bits_outside_group(self, d8):
+        for bad in (1 << 8, -1):
+            with pytest.raises(ValueError, match="outside"):
+                c.centralizer_mask(d8, bad)
 
 
 class TestClosure:

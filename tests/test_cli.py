@@ -280,6 +280,30 @@ class TestCheckFailureExit:
         assert report["ok"] is False
 
 
+class TestInternalErrorExit:
+    """A broken invariant or an exhausted heap ends in exit code 4 with one
+    line on stderr, never a traceback."""
+
+    @pytest.mark.parametrize(
+        "exc,message",
+        [
+            (c.InvariantViolation("dual of a lattice node is not a node"),
+             "dual of a lattice node is not a node"),
+            (MemoryError(), "MemoryError"),
+        ],
+    )
+    def test_internal_error_exit_four(self, monkeypatch, capsys, exc, message):
+        import centra.cli as cli
+
+        def broken_report(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr(cli, "build_report", broken_report)
+        code = cli.main(["analyze", "--builtin", "dihedral:8"])
+        assert code == 4
+        assert capsys.readouterr().err == f"centra: internal error: {message}\n"
+
+
 class TestDeterminism:
     @pytest.mark.parametrize(
         "args",
