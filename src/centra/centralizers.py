@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .groups import Group, SetLike, subgroup_generated_by
+from .groups import Group, SetLike, per_group, subgroup_generated_by
 from .sets import ElemSet, Subgroup
 
 
@@ -37,11 +37,6 @@ def centralizer(G: Group, S: SetLike) -> Subgroup:
 def closure(G: Group, S: SetLike) -> Subgroup:
     """The double centralizer C_G(C_G(S)): extensive, monotone, idempotent."""
     return Subgroup(G.order, centralizer_mask(G, centralizer_mask(G, G.elem_set(S).mask)))
-
-
-def fiber_supremum(G: Group, S: SetLike) -> Subgroup:
-    """Union of all sets with the same centralizer as S, i.e. C_G(C_G(S))."""
-    return closure(G, S)
 
 
 def element_center(G: Group, g: int) -> Subgroup:
@@ -77,14 +72,12 @@ class CentClass:
     ecenter: Subgroup
 
 
+@per_group
 def z_star_partition(G: Group) -> tuple[CentClass, ...]:
     """Partition of G into Z*-classes, ordered by minimal representative id.
 
     The class of any central element is exactly Z(G).
     """
-    cached = getattr(G, "_zstar_cache", None)
-    if cached is not None:
-        return cached
     buckets: dict[int, int] = {}
     masks: list[int] = []
     member_masks: list[int] = []
@@ -110,15 +103,13 @@ def z_star_partition(G: Group) -> tuple[CentClass, ...]:
             )
         )
     classes.sort(key=lambda c: c.representative)
-    result = tuple(classes)
-    class_of = {}
-    for i, cl in enumerate(result):
-        for m in cl.members:
-            class_of[m] = i
-    # publish the index first: readers key off _zstar_cache
-    G._zstar_class_of = class_of
-    G._zstar_cache = result
-    return result
+    return tuple(classes)
+
+
+@per_group
+def _class_index(G: Group) -> dict[int, int]:
+    """Position in ``z_star_partition(G)`` of each element's class, by element id."""
+    return {m: i for i, cl in enumerate(z_star_partition(G)) for m in cl.members}
 
 
 def class_transversal(G: Group) -> ElemSet:
@@ -136,7 +127,7 @@ def u_star(G: Group, H: SetLike, X: SetLike) -> ElemSet:
     if centralizer_mask(G, centralizer_mask(G, H.mask)) != H.mask:
         raise ValueError("H is not a centralizer (not closed under the double centralizer)")
     classes = z_star_partition(G)
-    class_of = G._zstar_class_of
+    class_of = _class_index(G)
     xs = G.set_ids(X)
     hit = [False] * len(classes)
     for x in xs:

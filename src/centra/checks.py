@@ -24,7 +24,6 @@ from .centralizers import (
 from .graphs import (
     centralizer_graph,
     commuting_graph,
-    default_transversal,
     quotient_consistency,
     transversal_graph,
 )
@@ -607,10 +606,11 @@ def graphs_suite(G: Group, rng: random.Random, samples: int) -> list[PropertyRes
 
     # Adjacency agrees with the dual formulation on element centers.
     witness = None
+    cg_edges = set(cg.edges)
     for i, a in enumerate(classes):
         for j in range(i + 1, len(classes)):
             b = classes[j]
-            edge = (i, j) in cg.edges
+            edge = (i, j) in cg_edges
             dual_rule = a.ecenter.mask & ~b.cent.mask == 0
             if edge != dual_rule:
                 witness = f"pair {G.label(a.representative)},{G.label(b.representative)}"

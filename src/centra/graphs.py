@@ -7,8 +7,8 @@ import io
 from dataclasses import dataclass
 from typing import Optional, Union
 
-from .centralizers import z_star_partition
-from .groups import Group, InvariantViolation, SetLike, subgroup_label
+from .centralizers import _class_index, z_star_partition
+from .groups import Group, InvariantViolation, SetLike, per_group, subgroup_label
 from .lattice import CenterPoset, CentLattice, hasse_edges
 from .moebius import MoebiusTable
 from .sets import ElemSet
@@ -55,11 +55,10 @@ def _require_nonabelian(G: Group, kind: str) -> None:
         )
 
 
-def commuting_graph(G: Group) -> GroupGraph:
-    """Vertices are the non-central elements; edges join commuting pairs."""
-    _require_nonabelian(G, "commuting")
+def _commuting_subgraph(G: Group, kind: str, ids) -> GroupGraph:
+    """The commuting graph induced on the non-central members of ``ids``."""
     zmask = G.center.mask
-    verts = [g for g in G.elements() if not (zmask >> g) & 1]
+    verts = [g for g in ids if not (zmask >> g) & 1]
     pos = {g: i for i, g in enumerate(verts)}
     cms = G.cent_masks
     edges = []
@@ -69,11 +68,18 @@ def commuting_graph(G: Group) -> GroupGraph:
             if (m >> h) & 1:
                 edges.append((i, pos[h]))
     return GroupGraph(
-        kind="commuting",
+        kind=kind,
         vertex_ids=tuple(verts),
         labels=tuple(G.label(g) for g in verts),
         edges=tuple(sorted(edges)),
     )
+
+
+@per_group
+def commuting_graph(G: Group) -> GroupGraph:
+    """Vertices are the non-central elements; edges join commuting pairs."""
+    _require_nonabelian(G, "commuting")
+    return _commuting_subgraph(G, "commuting", G.elements())
 
 
 def default_transversal(G: Group) -> ElemSet:
@@ -116,30 +122,23 @@ def _validate_transversal(G: Group, T: ElemSet) -> None:
 def transversal_graph(G: Group, T: Optional[SetLike] = None) -> GroupGraph:
     """Subgraph of the commuting graph induced by a transversal of Z(G).
 
-    The default transversal takes the minimal id in each coset.  A supplied
-    transversal is validated.
+    The default transversal takes the minimal id in each coset; its graph is
+    built once per group.  A supplied transversal is validated.
     """
+    if T is None:
+        return _default_transversal_graph(G)
     _require_nonabelian(G, "transversal")
-    T = default_transversal(G) if T is None else G.elem_set(T)
+    T = G.elem_set(T)
     _validate_transversal(G, T)
-    zmask = G.center.mask
-    verts = [t for t in T if not (zmask >> t) & 1]
-    pos = {g: i for i, g in enumerate(verts)}
-    cms = G.cent_masks
-    edges = []
-    for i, g in enumerate(verts):
-        m = cms[g]
-        for h in verts[i + 1 :]:
-            if (m >> h) & 1:
-                edges.append((i, pos[h]))
-    return GroupGraph(
-        kind="transversal",
-        vertex_ids=tuple(verts),
-        labels=tuple(G.label(g) for g in verts),
-        edges=tuple(sorted(edges)),
-    )
+    return _commuting_subgraph(G, "transversal", T)
 
 
+@per_group
+def _default_transversal_graph(G: Group) -> GroupGraph:
+    return transversal_graph(G, default_transversal(G))
+
+
+@per_group
 def centralizer_graph(G: Group) -> GroupGraph:
     """One vertex per proper element centralizer (keyed by its element center);
     an edge joins distinct vertices when one's center lies in the other's
@@ -176,20 +175,17 @@ def quotient_consistency(G: Group) -> bool:
     sets are computed independently and compared.
     """
     _require_nonabelian(G, "quotient")
-    classes = [c for c in z_star_partition(G) if c.cent.mask != G.full_mask]
-    class_index = {}
-    for i, c in enumerate(classes):
-        for m in c.members:
-            class_index[m] = i
+    class_of = _class_index(G)
     com = commuting_graph(G)
     quotient_edges = set()
     for i, j in com.edges:
-        ci = class_index[com.vertex_ids[i]]
-        cj = class_index[com.vertex_ids[j]]
+        ci = class_of[com.vertex_ids[i]]
+        cj = class_of[com.vertex_ids[j]]
         if ci != cj:
             quotient_edges.add((min(ci, cj), max(ci, cj)))
-    cg = centralizer_graph(G)
-    return quotient_edges == set(cg.edges)
+    # Class 0 is the central class (it holds the identity); the centralizer
+    # graph's vertices are the other classes, in partition order.
+    return quotient_edges == {(i + 1, j + 1) for i, j in centralizer_graph(G).edges}
 
 
 # -- emitters ----------------------------------------------------------------

@@ -10,14 +10,14 @@ from __future__ import annotations
 
 import itertools
 import os
-from functools import cached_property
+from functools import cached_property, wraps
 from pathlib import Path
-from typing import Iterable, Optional, Sequence, Union
+from typing import Callable, Iterable, Optional, Sequence, TypeVar, Union
 
 import numpy as np
 
 from .perm import Permutation, parse_cycle_notation
-from .sets import ElemSet, Subgroup, ids_from_mask, mask_from_ids
+from .sets import ElemSet, Subgroup, ids_from_mask
 
 DEFAULT_MAX_ORDER = 10**6
 MAX_ORDER_ENV = "CENTRA_MAX_ORDER"
@@ -27,6 +27,7 @@ ASSOC_SAMPLE_TRIPLES = 100_000
 BUILTIN_FAMILIES = ("cyclic", "dihedral", "quaternion8", "symmetric", "heisenberg")
 
 SetLike = Union[ElemSet, Iterable[int]]
+T = TypeVar("T")
 
 
 class GroupTableError(ValueError):
@@ -121,6 +122,7 @@ class Group:
         if len(set(labels)) != self.order:
             raise ValueError("element labels are not unique")
         self.labels = tuple(labels)
+        self._derived: dict = {}  # filled by per_group
 
     # -- basic queries ----------------------------------------------------
 
@@ -178,6 +180,21 @@ class Group:
         return f"<Group {self.name} of order {self.order}>"
 
 
+def per_group(fn: Callable[[Group], T]) -> Callable[[Group], T]:
+    """Build the derived structure ``fn(G)`` once per group: the result is
+    stored on ``G`` and every call, threads racing on the first included,
+    returns that one stored object."""
+
+    @wraps(fn)
+    def memoised(G: Group) -> T:
+        derived = G._derived
+        if fn in derived:
+            return derived[fn]
+        return derived.setdefault(fn, fn(G))
+
+    return memoised
+
+
 # -- subgroup machinery ----------------------------------------------------
 
 
@@ -206,28 +223,13 @@ def subgroup_generated_by(G: Group, S: SetLike) -> Subgroup:
 
 def is_subgroup(G: Group, S: SetLike) -> bool:
     """Independent check of the subgroup invariant (identity, closure, inverses)."""
-    ids = G.set_ids(S)
-    mask = mask_from_ids(ids)
-    if not (mask >> 0) & 1:
+    ids = np.array(G.set_ids(S), dtype=np.intp)
+    member = np.zeros(G.order, dtype=bool)
+    member[ids] = True
+    if not member[0] or not member[G.inv_table[ids]].all():
         return False
-    table = G.table
-    for a in ids:
-        if not (mask >> G.inv(a)) & 1:
-            return False
-        row = table[a]
-        for b in ids:
-            if not (mask >> int(row[b])) & 1:
-                return False
-    return True
-
-
-def center(G: Group) -> Subgroup:
-    """Z(G): the centralizer of the whole group."""
-    return G.center
-
-
-def element_order(G: Group, g: int) -> int:
-    return G.element_order(g)
+    # one row of products per member: never an |S| x |S| array
+    return all(member[G.table[a, ids]].all() for a in ids)
 
 
 def _cyclic_mask(G: Group, g: int) -> int:

@@ -2,43 +2,34 @@
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Optional, Union
 
 from .centralizers import centralizer_mask, z_star_partition
-from .groups import Group, InvariantViolation, SetLike, subgroup_generated_by, subgroup_label
+from .groups import Group, InvariantViolation, per_group, subgroup_generated_by, subgroup_label
 from .sets import ElemSet, Subgroup, ids_from_mask
 
 NodeLike = Union[int, Subgroup, ElemSet]
 
 
-def _node_sort_key(order: int, mask: int) -> tuple[int, tuple[int, ...]]:
+def _node_sort_key(mask: int) -> tuple[int, tuple[int, ...]]:
     return (mask.bit_count(), ids_from_mask(mask))
 
 
-class CentLattice:
-    """All distinct centralizers of a group, ordered by containment.
+class _NodeOrder:
+    """Distinct subgroups of one group, ordered by containment.
 
     Nodes are sorted by size then lexicographic member list, so node indices
-    (and everything derived from them) are stable across runs.  ``dual`` maps
-    a node index to the index of its centralizer; it is an order-reversing
-    involution.
+    (and everything derived from them) are stable across runs.
     """
 
-    def __init__(self, group: Group, masks: list[int]):
+    _kind: str  # "lattice" or "poset", for "is not a ... node" errors
+
+    def __init__(self, group: Group, masks):
         self.group = group
-        order = group.order
-        masks = sorted(set(masks), key=lambda m: _node_sort_key(order, m))
-        self.nodes: tuple[Subgroup, ...] = tuple(Subgroup(order, m) for m in masks)
+        masks = sorted(set(masks), key=_node_sort_key)
+        self.nodes: tuple[Subgroup, ...] = tuple(Subgroup(group.order, m) for m in masks)
         self._index = {m: i for i, m in enumerate(masks)}
-        dual = []
-        for m in masks:
-            dm = centralizer_mask(group, m)
-            if dm not in self._index:
-                raise InvariantViolation("dual of a lattice node is not a node")
-            dual.append(self._index[dm])
-        self.dual = tuple(dual)
-        self.top = self._index[group.full_mask]
-        self.bottom = self._index[group.center.mask]
 
     def __len__(self) -> int:
         return len(self.nodes)
@@ -53,11 +44,47 @@ class CentLattice:
             return node
         idx = self._index.get(node.mask)
         if idx is None:
-            raise ValueError(f"{node!r} is not a lattice node")
+            raise ValueError(f"{node!r} is not a {self._kind} node")
         return idx
 
     def leq(self, i: int, j: int) -> bool:
         return self.nodes[i].mask & ~self.nodes[j].mask == 0
+
+    @cached_property
+    def labels(self) -> tuple[str, ...]:
+        return tuple(subgroup_label(self.group, node) for node in self.nodes)
+
+    def node_label(self, i: int) -> str:
+        return self.labels[i]
+
+    @cached_property
+    def covers(self) -> tuple[tuple[int, int], ...]:
+        return _hasse_covers(self)
+
+    def __repr__(self) -> str:
+        return f"<{type(self).__name__} of {self.group.name}: {len(self.nodes)} nodes>"
+
+
+class CentLattice(_NodeOrder):
+    """All distinct centralizers of a group, ordered by containment.
+
+    ``dual`` maps a node index to the index of its centralizer; it is an
+    order-reversing involution.
+    """
+
+    _kind = "lattice"
+
+    def __init__(self, group: Group, masks: list[int]):
+        super().__init__(group, masks)
+        dual = []
+        for node in self.nodes:
+            dm = centralizer_mask(group, node.mask)
+            if dm not in self._index:
+                raise InvariantViolation("dual of a lattice node is not a node")
+            dual.append(self._index[dm])
+        self.dual = tuple(dual)
+        self.top = self._index[group.full_mask]
+        self.bottom = self._index[group.center.mask]
 
     def meet(self, H: NodeLike, K: NodeLike) -> Subgroup:
         """H ∧ K = H ∩ K."""
@@ -76,13 +103,8 @@ class CentLattice:
             raise InvariantViolation("join of lattice nodes is not a node")
         return self.nodes[self._index[jm]]
 
-    def node_label(self, i: int) -> str:
-        return subgroup_label(self.group, self.nodes[i])
 
-    def __repr__(self) -> str:
-        return f"<CentLattice of {self.group.name}: {len(self.nodes)} nodes>"
-
-
+@per_group
 def build_lattice(G: Group) -> CentLattice:
     """Close {G} and the element centralizers under pairwise intersection.
 
@@ -105,48 +127,28 @@ def build_lattice(G: Group) -> CentLattice:
     return CentLattice(G, list(masks))
 
 
-class CenterPoset:
+class CenterPoset(_NodeOrder):
     """The element centers Z(g) together with Z(G), ordered by containment.
 
     ``class_sizes[i]`` is |Z*(g)| for the class whose element center is
     ``nodes[i]``; Z(G) carries the central class of size |Z(G)|.
     """
 
+    _kind = "poset"
+
     def __init__(self, group: Group, masks: list[int], class_sizes: dict[int, int]):
-        self.group = group
-        order = group.order
-        masks = sorted(masks, key=lambda m: _node_sort_key(order, m))
-        self.nodes: tuple[Subgroup, ...] = tuple(Subgroup(order, m) for m in masks)
-        self._index = {m: i for i, m in enumerate(masks)}
-        self.class_sizes = tuple(class_sizes[m] for m in masks)
+        super().__init__(group, masks)
+        self.class_sizes = tuple(class_sizes[node.mask] for node in self.nodes)
         self.min_index = self._index[group.center.mask]
 
-    def __len__(self) -> int:
-        return len(self.nodes)
-
-    def __iter__(self):
-        return iter(self.nodes)
-
-    def index_of(self, node: NodeLike) -> int:
-        if isinstance(node, int):
-            if not 0 <= node < len(self.nodes):
-                raise ValueError(f"node index {node} out of range")
-            return node
-        idx = self._index.get(node.mask)
-        if idx is None:
-            raise ValueError(f"{node!r} is not a poset node")
-        return idx
-
-    def leq(self, i: int, j: int) -> bool:
-        return self.nodes[i].mask & ~self.nodes[j].mask == 0
-
-    def node_label(self, i: int) -> str:
-        return subgroup_label(self.group, self.nodes[i])
-
-    def __repr__(self) -> str:
-        return f"<CenterPoset of {self.group.name}: {len(self.nodes)} nodes>"
+    @cached_property
+    def moebius_table(self):
+        """The MoebiusTable of this poset; see ``moebius.moebius``."""
+        from .moebius import _moebius_table  # moebius imports this module
+        return _moebius_table(self)
 
 
+@per_group
 def center_poset(G: Group) -> CenterPoset:
     """Build the poset of element centers (one per Z*-class) plus Z(G)."""
     sizes: dict[int, int] = {}
@@ -162,6 +164,7 @@ def center_poset(G: Group) -> CenterPoset:
     return CenterPoset(G, masks, sizes)
 
 
+@per_group
 def is_f_group(G: Group) -> bool:
     """True iff the proper element centralizers form an antichain.
 
@@ -194,9 +197,7 @@ def f_group_chain_witness(G: Group) -> Optional[tuple[int, int]]:
     return None
 
 
-def hasse_edges(poset) -> tuple[tuple[int, int], ...]:
-    """Covering pairs (i, j) of a CentLattice or CenterPoset: node i is covered
-    by node j.  Ordered by (i, j) under the object's node ordering."""
+def _hasse_covers(poset) -> tuple[tuple[int, int], ...]:
     n = len(poset.nodes)
     edges = []
     for i in range(n):
@@ -212,6 +213,13 @@ def hasse_edges(poset) -> tuple[tuple[int, int], ...]:
                 edges.append((i, j))
     edges.sort()
     return tuple(edges)
+
+
+def hasse_edges(poset) -> tuple[tuple[int, int], ...]:
+    """Covering pairs (i, j) of a CentLattice or CenterPoset: node i is covered
+    by node j.  Ordered by (i, j) under the object's node ordering; computed
+    once per lattice or poset (afresh for any other ``nodes``/``leq`` object)."""
+    return poset.covers if isinstance(poset, _NodeOrder) else _hasse_covers(poset)
 
 
 def all_subgroups(G: Group, limit_order: int = 64) -> tuple[Subgroup, ...]:
@@ -235,5 +243,5 @@ def all_subgroups(G: Group, limit_order: int = 64) -> tuple[Subgroup, ...]:
             if ext.mask not in seen:
                 seen.add(ext.mask)
                 worklist.append(ext)
-    masks = sorted(seen, key=lambda m: _node_sort_key(G.order, m))
+    masks = sorted(seen, key=_node_sort_key)
     return tuple(Subgroup(G.order, m) for m in masks)

@@ -23,7 +23,12 @@ class MoebiusTable:
 
 
 def moebius(P: CenterPoset) -> MoebiusTable:
-    """Compute mu by one pass over nodes sorted by subgroup size."""
+    """mu by one pass over nodes sorted by subgroup size; computed once per
+    CenterPoset (afresh for any other ``nodes``/``min_index``/``leq`` object)."""
+    return P.moebius_table if isinstance(P, CenterPoset) else _moebius_table(P)
+
+
+def _moebius_table(P) -> MoebiusTable:
     n = len(P.nodes)
     mn = P.min_index
     for j in range(n):

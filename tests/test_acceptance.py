@@ -130,10 +130,10 @@ def test_criterion_4_fiber_theorem(d8, s3):
                 union = 0
                 for m in members:
                     union |= m
-                sup = c.fiber_supremum(G, ids_from_mask(members[0])).mask
+                sup = c.closure(G, ids_from_mask(members[0])).mask
                 assert union == sup
                 for m in members:
-                    assert c.fiber_supremum(G, ids_from_mask(m)).mask == union
+                    assert c.closure(G, ids_from_mask(m)).mask == union
 
 
 def test_criterion_5_partition_theorem(fleet):

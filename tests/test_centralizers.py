@@ -205,6 +205,8 @@ class TestUStar:
 
 
 class TestFiberSupremum:
+    """The union of a centralizer fiber is the closure C(C(S))."""
+
     @pytest.mark.parametrize("key", ["D8", "S3"])
     def test_powerset_fiber_oracle(self, key, d8, s3):
         G = {"D8": d8, "S3": s3}[key]
@@ -217,10 +219,10 @@ class TestFiberSupremum:
                 key_mask |= 1 << x
             fibers[key_mask] = fibers.get(key_mask, 0) | m
         for cmask, union in fibers.items():
-            assert c.fiber_supremum(G, ids_from_mask(union)).mask == union
+            assert c.closure(G, ids_from_mask(union)).mask == union
         # and every subset's supremum equals its fiber's union
         for m in range(1 << n):
-            sup = c.fiber_supremum(G, ids_from_mask(m)).mask
+            sup = c.closure(G, ids_from_mask(m)).mask
             cm = naive_centralizer(G, ids_from_mask(m))
             key_mask = 0
             for x in cm:
@@ -229,11 +231,11 @@ class TestFiberSupremum:
 
     def test_abelian_returns_group(self):
         G = c.builtin_group("cyclic", 5)
-        assert c.fiber_supremum(G, [3]).mask == G.full_mask
+        assert c.closure(G, [3]).mask == G.full_mask
 
     def test_s3_three_cycle(self, s3):
         (g,) = by_label(s3, "(1,2,3)")
-        assert label_set(s3, c.fiber_supremum(s3, [g])) == {"1", "(1,2,3)", "(1,3,2)"}
+        assert label_set(s3, c.closure(s3, [g])) == {"1", "(1,2,3)", "(1,3,2)"}
 
 
 class TestClosedAbelianIff:

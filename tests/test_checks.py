@@ -6,6 +6,7 @@ import pytest
 
 import centra as c
 from centra.checks import run_suite
+from centra.cli import build_report
 
 # run_suite(G, "algebra") on any group of order 8, as (name, status, detail).
 ALGEBRA_ORDER_8 = [
@@ -54,6 +55,18 @@ def test_every_flipped_bit_fails_tabulated_branch(d8):
             failed = failures(FlippedCentMasks(d8, g, h))
             assert failed, (g, h)
             assert all(r.witness for r in failed), (g, h)
+
+
+def test_flipped_copy_of_analysed_group_fails(d8):
+    """A faulty copy built from an already analysed group gets its own
+    structures, so the fault still shows."""
+    build_report(d8, "builtin:dihedral:8")
+    a, b = d8.labels.index("a"), d8.labels.index("b")
+    bad = FlippedCentMasks(d8, a, b)
+    failed = failures(bad)
+    assert failed
+    assert all(r.witness for r in failed)
+    assert c.z_star_partition(bad) != c.z_star_partition(d8)
 
 
 @pytest.mark.parametrize(

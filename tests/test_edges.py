@@ -8,7 +8,7 @@ import pytest
 
 import centra as c
 from centra.sets import Subgroup
-from test_groups import NONASSOC_LATIN_5
+from test_groups import NONASSOC_LATIN_5, assert_rejects_missing_product_or_inverse
 
 
 class TestSampledAssociativity:
@@ -110,6 +110,9 @@ class TestOrder2187Scale:
         assert big.order == 3**7
         assert c.p_group_prime(big.order) == 3
         assert not c.is_f_group(big)
+
+    def test_is_subgroup_rejects_missing_product_or_inverse(self, big):
+        assert_rejects_missing_product_or_inverse(big)
 
     def test_congruences_hold(self, big):
         assert c.check_class_size_congruence(big).ok

@@ -16,6 +16,16 @@ NONASSOC_LATIN_5 = [
 ]
 
 
+def assert_rejects_missing_product_or_inverse(G):
+    """``is_subgroup`` accepts G and rejects G with one element x of order
+    > 2 removed (the inverse of x^-1 is missing), or with x and x^-1 removed
+    (inverse-closed, but x is a product of members)."""
+    x = next(g for g in G.elements() if G.inv(g) != g)
+    assert c.is_subgroup(G, G.elements())
+    assert not c.is_subgroup(G, [g for g in G.elements() if g != x])
+    assert not c.is_subgroup(G, [g for g in G.elements() if g not in (x, G.inv(x))])
+
+
 class TestBuiltins:
     def test_dihedral8(self, d8):
         assert d8.order == 8
@@ -332,6 +342,9 @@ class TestSubgroups:
         assert not c.is_subgroup(d8, [0, 1])  # <a> needs a^2, a^3
         assert not c.is_subgroup(d8, [2])  # missing identity
 
+    def test_is_subgroup_rejects_missing_product_or_inverse(self, h3):
+        assert_rejects_missing_product_or_inverse(h3)
+
 
 class TestCenter:
     def test_center_matches_naive(self, fleet, small_groups):
@@ -339,14 +352,14 @@ class TestCenter:
             assert set(G.center) == naive_center(G)
 
     def test_d8_center(self, d8):
-        assert label_set(d8, c.center(d8)) == {"1", "a^2"}
+        assert label_set(d8, d8.center) == {"1", "a^2"}
 
     def test_s4_center_trivial(self, s4):
-        assert c.center(s4).members == (0,)
+        assert s4.center.members == (0,)
 
     def test_abelian_center_is_group(self):
         G = c.builtin_group("cyclic", 9)
-        assert len(c.center(G)) == 9
+        assert len(G.center) == 9
 
 
 class TestValidationInvariants:
