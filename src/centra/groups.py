@@ -183,7 +183,7 @@ class Group:
 def per_group(fn: Callable[[Group], T]) -> Callable[[Group], T]:
     """Build the derived structure ``fn(G)`` once per group: the result is
     stored on ``G`` and every call, threads racing on the first included,
-    returns that one stored object."""
+    returns that one stored object.  A lattice or poset memoises likewise."""
 
     @wraps(fn)
     def memoised(G: Group) -> T:
@@ -228,8 +228,8 @@ def is_subgroup(G: Group, S: SetLike) -> bool:
     member[ids] = True
     if not member[0] or not member[G.inv_table[ids]].all():
         return False
-    # one row of products per member: never an |S| x |S| array
-    return all(member[G.table[a, ids]].all() for a in ids)
+    k = max(1, (1 << 16) // len(ids))  # rows per gather: at most 2^16 products at once
+    return all(member[G.table[ids[i : i + k, None], ids]].all() for i in range(0, len(ids), k))
 
 
 def _cyclic_mask(G: Group, g: int) -> int:

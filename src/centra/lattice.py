@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from functools import cached_property
 from typing import Optional, Union
 
 from .centralizers import centralizer_mask, z_star_partition
@@ -30,6 +29,7 @@ class _NodeOrder:
         masks = sorted(set(masks), key=_node_sort_key)
         self.nodes: tuple[Subgroup, ...] = tuple(Subgroup(group.order, m) for m in masks)
         self._index = {m: i for i, m in enumerate(masks)}
+        self._derived: dict = {}  # per_group; a cached_property would slow attribute reads
 
     def __len__(self) -> int:
         return len(self.nodes)
@@ -50,14 +50,16 @@ class _NodeOrder:
     def leq(self, i: int, j: int) -> bool:
         return self.nodes[i].mask & ~self.nodes[j].mask == 0
 
-    @cached_property
+    @property
+    @per_group
     def labels(self) -> tuple[str, ...]:
         return tuple(subgroup_label(self.group, node) for node in self.nodes)
 
     def node_label(self, i: int) -> str:
         return self.labels[i]
 
-    @cached_property
+    @property
+    @per_group
     def covers(self) -> tuple[tuple[int, int], ...]:
         return _hasse_covers(self)
 
@@ -141,7 +143,8 @@ class CenterPoset(_NodeOrder):
         self.class_sizes = tuple(class_sizes[node.mask] for node in self.nodes)
         self.min_index = self._index[group.center.mask]
 
-    @cached_property
+    @property
+    @per_group
     def moebius_table(self):
         """The MoebiusTable of this poset; see ``moebius.moebius``."""
         from .moebius import _moebius_table  # moebius imports this module

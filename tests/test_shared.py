@@ -98,9 +98,10 @@ def test_concurrent_first_calls_get_one_object(d8):
     G = c.direct_product(d8, d8)
 
     def work(_):
-        return c.build_lattice(G), c.center_poset(G), c.commuting_graph(G)
+        lat, poset = c.build_lattice(G), c.center_poset(G)
+        return lat, poset, c.commuting_graph(G), c.hasse_edges(lat), c.moebius(poset)
 
     with ThreadPoolExecutor(max_workers=8) as pool:
         results = list(pool.map(work, range(16)))
-    for k in range(3):
+    for k in range(5):
         assert len({id(r[k]) for r in results}) == 1
