@@ -168,11 +168,12 @@ def centralizer_graph(G: Group) -> GroupGraph:
     )
 
 
+@per_group
 def quotient_consistency(G: Group) -> bool:
     """Compare the centralizer graph with the commuting graph modulo ~.
 
     Quotient classes are adjacent when some cross pair commutes; the edge
-    sets are computed independently and compared.
+    sets are computed independently and compared, once per group.
     """
     _require_nonabelian(G, "quotient")
     class_of = _class_index(G)

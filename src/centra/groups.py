@@ -4,6 +4,12 @@ Element id 0 is always the identity.  Tables are validated on construction:
 identity and inverse laws, the latin-square property, and associativity
 (exhaustive up to ``FULL_ASSOC_LIMIT``, a fixed-seed random sample of
 ``ASSOC_SAMPLE_TRIPLES`` triples above that).
+
+The constructors build their tables with numpy array operations, never one
+Python step per table entry.  Permutation groups (``symmetric`` and
+``group_from_generators``) compose image arrays and rank each product by its
+images on a few base points; the other families broadcast their formulas.
+Those two work in blocks of at most ``BLOCK_ENTRIES`` products.
 """
 
 from __future__ import annotations
@@ -23,6 +29,7 @@ DEFAULT_MAX_ORDER = 10**6
 MAX_ORDER_ENV = "CENTRA_MAX_ORDER"
 FULL_ASSOC_LIMIT = 512
 ASSOC_SAMPLE_TRIPLES = 100_000
+BLOCK_ENTRIES = 1 << 20  # products per block in generator closure and _perm_table
 
 BUILTIN_FAMILIES = ("cyclic", "dihedral", "quaternion8", "symmetric", "heisenberg")
 
@@ -292,32 +299,76 @@ def group_from_generators(
     else:
         if degree is None:
             raise ValueError("degree is required when no generators are given")
-        deg = degree
-    ident = Permutation.identity(deg)
-    index = {ident.images: 0}
-    elems = [ident]
+        deg = max(degree, 0)  # the identity's images range(degree) are empty below 0
+    found = [tuple(range(deg))]  # images of the elements, in BFS order
+    index = {found[0]: 0}
+    gen_images = np.array([g.images for g in gens], dtype=np.intp).reshape(len(gens), deg)
+    step = max(1, BLOCK_ENTRIES // max(1, len(gens) * deg))
     i = 0
-    while i < len(elems):
-        e = elems[i]
-        i += 1
-        for g in gens:
-            f = e * g
-            if f.images not in index:
-                if len(elems) >= bound:
+    while i < len(found):
+        # Products e*g of a block of found elements, e in id order then g in
+        # generator order: the order a one-at-a-time BFS would meet them.
+        block = np.array(found[i : i + step], dtype=np.intp)
+        i += len(block)
+        products = block[:, gen_images].reshape(len(block) * len(gens), deg)
+        for f in map(tuple, products.tolist()):
+            if f not in index:
+                if len(found) >= bound:
                     raise OrderBoundError(
                         f"generated group exceeds the order bound {bound}"
                     )
-                index[f.images] = len(elems)
-                elems.append(f)
-    n = len(elems)
-    images = np.array([e.images for e in elems], dtype=np.int32)
-    key_to_id = {row.tobytes(): i for i, row in enumerate(images)}
-    table = np.empty((n, n), dtype=np.int32)
-    for a in range(n):
-        composed = images[a][images]  # row h -> images of elems[a] * elems[h]
-        table[a] = [key_to_id[row.tobytes()] for row in composed]
-    labels = [e.cycle_string() for e in elems]
-    return Group(table, labels, name)
+                index[f] = len(found)
+                found.append(f)
+    images = np.array(found, dtype=np.intp).reshape(len(found), deg)
+    labels = [Permutation(f).cycle_string() for f in found]
+    return Group(_perm_table(images), labels, name)
+
+
+def _perm_table(images: np.ndarray) -> np.ndarray:
+    """Multiplication table of the distinct permutations ``images`` (one row
+    of images per element, closed under composition): entry [a, h] is the id
+    of a*h, whose images are ``images[a][images[h]]`` (h applies first).
+
+    Base points are taken in point order, each only if it splits the
+    elements further (so never a point that no element moves), until the
+    images on them tell every element apart.  A permutation is then ranked
+    point by point: its rank so far and its image of the next base point
+    index a lookup array of (ranks so far) x degree entries, so no key
+    exceeds order x degree.  A product missing
+    from a lookup is not an element and raises ``InvariantViolation``.
+    """
+    n, deg = images.shape
+    rank = np.zeros(n, dtype=np.intp)
+    count = 1  # distinct ranks so far
+    levels = []  # (base point, lookup: rank * deg + image -> next rank or -1)
+    for x in np.flatnonzero((images != images[0]).any(axis=0)):  # points that move
+        if count == n:
+            break
+        pairs, next_rank = np.unique(rank * deg + images[:, x], return_inverse=True)
+        if len(pairs) > count:
+            lookup = np.full(count * deg, -1, dtype=np.intp)
+            lookup[pairs] = np.arange(len(pairs))
+            levels.append((x, lookup))
+            rank, count = next_rank.reshape(n), len(pairs)
+    if count != n:
+        raise InvariantViolation("two elements have the same images")
+    if levels:
+        lookup = levels[-1][1]
+        known = lookup >= 0
+        lookup[known] = np.argsort(rank)[lookup[known]]  # final rank -> element id
+    table = np.zeros((n, n), dtype=np.int32)
+    step = max(1, BLOCK_ENTRIES // n)
+    for lo in range(0, n, step):
+        block = images[lo : lo + step]
+        rank = 0
+        for x, lookup in levels:
+            key = block[:, images[:, x]]  # [a, h] -> image of x under a*h: a(h(x))
+            key += rank * deg
+            rank = lookup[key]
+            if rank.min() < 0:
+                raise InvariantViolation("a product of two elements is not an element")
+        table[lo : lo + step] = rank
+    return table
 
 
 def group_from_generator_file(source: Union[str, Path], *, max_order: Optional[int] = None) -> Group:
@@ -391,11 +442,10 @@ def direct_product(G: Group, H: Group, *, max_order: Optional[int] = None) -> Gr
     n, m = G.order, H.order
     if n * m > bound:
         raise OrderBoundError(f"product order {n * m} exceeds the order bound {bound}")
-    gt = G.table.astype(np.int64)
-    ht = H.table.astype(np.int64)
-    table = (gt[:, None, :, None] * m + ht[None, :, None, :]).reshape(n * m, n * m)
+    # int32 throughout: entries are below n * m, far below 2^31 for any table that fits in memory
+    table = G.table[:, None, :, None] * np.int32(m) + H.table[None, :, None, :]
     labels = [f"({gl},{hl})" for gl in G.labels for hl in H.labels]
-    return Group(table.astype(np.int32), labels, f"{G.name}x{H.name}")
+    return Group(table.reshape(n * m, n * m), labels, f"{G.name}x{H.name}")
 
 
 def _cyclic_group(n: int) -> Group:
@@ -409,42 +459,24 @@ def _dihedral_group(order: int) -> Group:
     if order < 2 or order % 2:
         raise ValueError(f"dihedral group order must be even and >= 2, got {order}")
     n = order // 2
-    # ids: a^i -> i, a^i b -> n + i
-    table = np.empty((order, order), dtype=np.int32)
-    for i in range(n):
-        for j in range(n):
-            table[i, j] = (i + j) % n
-            table[i, n + j] = n + (i + j) % n
-            table[n + i, j] = n + (i - j) % n
-            table[n + i, n + j] = (i - j) % n
+    # ids: a^i -> i, a^i b -> n + i; a^i * a^j b = a^(i+j) b, a^i b * a^j = a^(i-j) b
+    i = np.arange(n, dtype=np.int32)
+    add, sub = (i[:, None] + i) % n, (i[:, None] - i) % n
+    table = np.block([[add, n + add], [n + sub, sub]])
     rot = ["1"] + ["a" if i == 1 else f"a^{i}" for i in range(1, n)]
     ref = ["b"] + ["ab" if i == 1 else f"a^{i}b" for i in range(1, n)]
     return Group(table, rot + ref, f"D{order}")
 
 
-_QUAT_AXES = ("e", "i", "j", "k")
-_QUAT_MUL = {
-    ("i", "j"): (1, "k"), ("j", "k"): (1, "i"), ("k", "i"): (1, "j"),
-    ("j", "i"): (-1, "k"), ("k", "j"): (-1, "i"), ("i", "k"): (-1, "j"),
-    ("i", "i"): (-1, "e"), ("j", "j"): (-1, "e"), ("k", "k"): (-1, "e"),
-}
-
-
 def _quaternion_group() -> Group:
-    units = [(ax, s) for ax in _QUAT_AXES for s in (1, -1)]
-
-    def q_mul(u, v):
-        (ax1, s1), (ax2, s2) = u, v
-        if ax1 == "e":
-            return (ax2, s1 * s2)
-        if ax2 == "e":
-            return (ax1, s1 * s2)
-        s, ax = _QUAT_MUL[(ax1, ax2)]
-        return (ax, s1 * s2 * s)
-
-    index = {u: i for i, u in enumerate(units)}
-    table = [[index[q_mul(u, v)] for v in units] for u in units]
-    labels = [("" if s == 1 else "-") + ("1" if ax == "e" else ax) for ax, s in units]
+    # ids: 2 * axis + (1 if negative), axes 1, i, j, k = 0..3.  The axis of a
+    # product is the XOR of the axes; its sign flips when the axes' product
+    # is negative (i*i = -1, i*k = -j, j*i = -k, ...).
+    negative = np.array([[0, 0, 0, 0], [0, 1, 0, 1], [0, 1, 1, 0], [0, 0, 1, 1]])
+    axis, sign = np.divmod(np.arange(8), 2)
+    a, b = axis[:, None], axis[None, :]
+    table = 2 * (a ^ b) + (sign[:, None] ^ sign[None, :] ^ negative[a, b])
+    labels = [s + ax for ax in ("1", "i", "j", "k") for s in ("", "-")]
     return Group(table, labels, "Q8")
 
 
@@ -457,14 +489,9 @@ def _symmetric_group(n: int, max_order: Optional[int] = None) -> Group:
         order *= k
     if order > bound:
         raise OrderBoundError(f"S{n} order {order} exceeds the order bound {bound}")
-    perms = [Permutation(p) for p in itertools.permutations(range(n))]
-    index = {p.images: i for i, p in enumerate(perms)}
-    table = np.empty((order, order), dtype=np.int32)
-    for a, pa in enumerate(perms):
-        table[a] = [index[(pa * pb).images] for pb in perms]
-    labels = [p.cycle_string() for p in perms]
-    labels[0] = "1"
-    return Group(table, labels, f"S{n}")
+    perms = list(itertools.permutations(range(n)))  # element ids in this order
+    labels = ["1"] + [Permutation(p).cycle_string() for p in perms[1:]]
+    return Group(_perm_table(np.array(perms, dtype=np.intp)), labels, f"S{n}")
 
 
 def _is_prime(p: int) -> bool:
@@ -484,20 +511,9 @@ def _heisenberg_group(p: int) -> Group:
         raise ValueError(f"heisenberg parameter must be prime, got {p}")
     n = p**3
 
-    def enc(a, b, c):
-        return (a * p + b) * p + c
-
-    table = np.empty((n, n), dtype=np.int32)
-    for a1 in range(p):
-        for b1 in range(p):
-            for c1 in range(p):
-                row = table[enc(a1, b1, c1)]
-                for a2 in range(p):
-                    for b2 in range(p):
-                        for c2 in range(p):
-                            row[enc(a2, b2, c2)] = enc(
-                                (a1 + a2) % p, (b1 + b2) % p, (c1 + c2 + a1 * b2) % p
-                            )
+    # (a, b, c) has id (a*p + b)*p + c; columns of a, b, c against rows of a.T, b.T, c.T
+    a, b, c = np.indices((p, p, p), dtype=np.int32).reshape(3, n, 1)
+    table = (((a + a.T) % p) * p + (b + b.T) % p) * p + (c + c.T + a * b.T) % p
     labels = [
         f"({a},{b},{c})" if (a, b, c) != (0, 0, 0) else "1"
         for a in range(p)

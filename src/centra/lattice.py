@@ -201,20 +201,17 @@ def f_group_chain_witness(G: Group) -> Optional[tuple[int, int]]:
 
 
 def _hasse_covers(poset) -> tuple[tuple[int, int], ...]:
+    """Covering pairs from strict up-set bitmasks: j covers i iff j is above i
+    and above no node that is itself above i."""
     n = len(poset.nodes)
+    leq = poset.leq
+    above = [sum(1 << j for j in range(n) if j != i and leq(i, j)) for i in range(n)]
     edges = []
-    for i in range(n):
-        for j in range(n):
-            if i == j or not poset.leq(i, j):
-                continue
-            covered = True
-            for k in range(n):
-                if k != i and k != j and poset.leq(i, k) and poset.leq(k, j):
-                    covered = False
-                    break
-            if covered:
-                edges.append((i, j))
-    edges.sort()
+    for i, up in enumerate(above):
+        higher = 0
+        for k in ids_from_mask(up):
+            higher |= above[k]
+        edges.extend((i, j) for j in ids_from_mask(up & ~higher))
     return tuple(edges)
 
 

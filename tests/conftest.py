@@ -6,6 +6,7 @@ import itertools
 import os
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import centra as c
@@ -64,8 +65,8 @@ def by_label(G, *labels):
 # -- extra constructions -------------------------------------------------------
 
 
-def unitriangular4(p):
-    """UT(4, p) acting on the p^4 column vectors; order p^6, non-F."""
+def unitriangular4_generators(p):
+    """Generators of UT(4, p) acting on the p^4 column vectors (degree p^4)."""
     pts = list(itertools.product(range(p), repeat=4))
     idx = {v: i for i, v in enumerate(pts)}
 
@@ -81,8 +82,105 @@ def unitriangular4(p):
         m[i][j] = 1
         return m
 
-    gens = [perm_of(transvection(0, 1)), perm_of(transvection(1, 2)), perm_of(transvection(2, 3))]
-    return c.group_from_generators(gens, name=f"UT4({p})")
+    return [perm_of(transvection(0, 1)), perm_of(transvection(1, 2)), perm_of(transvection(2, 3))]
+
+
+def unitriangular4(p):
+    """UT(4, p) acting on the p^4 column vectors; order p^6, non-F."""
+    return c.group_from_generators(unitriangular4_generators(p), name=f"UT4({p})")
+
+
+# -- naive constructors: one Python step per table entry -----------------------
+# Each returns (table as nested lists, labels) by the constructors' former loops.
+
+
+def naive_cyclic(n):
+    table = [[(i + j) % n for j in range(n)] for i in range(n)]
+    return table, ("1",) + tuple("g" if k == 1 else f"g^{k}" for k in range(1, n))
+
+
+def naive_dihedral(order):
+    n = order // 2
+    table = [[0] * order for _ in range(order)]
+    for i in range(n):
+        for j in range(n):
+            table[i][j] = (i + j) % n
+            table[i][n + j] = n + (i + j) % n
+            table[n + i][j] = n + (i - j) % n
+            table[n + i][n + j] = (i - j) % n
+    rot = ["1"] + ["a" if i == 1 else f"a^{i}" for i in range(1, n)]
+    ref = ["b"] + ["ab" if i == 1 else f"a^{i}b" for i in range(1, n)]
+    return table, tuple(rot + ref)
+
+
+def naive_quaternion():
+    axes = ("e", "i", "j", "k")
+    mul = {
+        ("i", "j"): (1, "k"), ("j", "k"): (1, "i"), ("k", "i"): (1, "j"),
+        ("j", "i"): (-1, "k"), ("k", "j"): (-1, "i"), ("i", "k"): (-1, "j"),
+        ("i", "i"): (-1, "e"), ("j", "j"): (-1, "e"), ("k", "k"): (-1, "e"),
+    }
+    units = [(ax, s) for ax in axes for s in (1, -1)]
+
+    def q_mul(u, v):
+        (ax1, s1), (ax2, s2) = u, v
+        if ax1 == "e":
+            return (ax2, s1 * s2)
+        if ax2 == "e":
+            return (ax1, s1 * s2)
+        s, ax = mul[(ax1, ax2)]
+        return (ax, s1 * s2 * s)
+
+    index = {u: i for i, u in enumerate(units)}
+    table = [[index[q_mul(u, v)] for v in units] for u in units]
+    labels = tuple(("" if s == 1 else "-") + ("1" if ax == "e" else ax) for ax, s in units)
+    return table, labels
+
+
+def naive_heisenberg(p):
+    def enc(a, b, c):
+        return (a * p + b) * p + c
+
+    n = p**3
+    table = [[0] * n for _ in range(n)]
+    for a1, b1, c1 in itertools.product(range(p), repeat=3):
+        row = table[enc(a1, b1, c1)]
+        for a2, b2, c2 in itertools.product(range(p), repeat=3):
+            row[enc(a2, b2, c2)] = enc((a1 + a2) % p, (b1 + b2) % p, (c1 + c2 + a1 * b2) % p)
+    labels = tuple(
+        f"({a},{b},{c})" if (a, b, c) != (0, 0, 0) else "1"
+        for a, b, c in itertools.product(range(p), repeat=3)
+    )
+    return table, labels
+
+
+def naive_symmetric(n):
+    """S_n in itertools.permutations order; one Permutation product per entry."""
+    perms = [c.Permutation(p) for p in itertools.permutations(range(n))]
+    index = {p.images: i for i, p in enumerate(perms)}
+    table = [[index[(pa * pb).images] for pb in perms] for pa in perms]
+    return table, ("1",) + tuple(p.cycle_string() for p in perms[1:])
+
+
+def naive_permutation_group(gens, degree=None):
+    """BFS closure by Permutation products, then one dict lookup per entry."""
+    deg = gens[0].degree if gens else degree
+    ident = c.Permutation.identity(deg)
+    index = {ident.images: 0}
+    elems = [ident]
+    i = 0
+    while i < len(elems):
+        e = elems[i]
+        i += 1
+        for g in gens:
+            f = e * g
+            if f.images not in index:
+                index[f.images] = len(elems)
+                elems.append(f)
+    images = np.array([e.images for e in elems], dtype=np.int32).reshape(len(elems), deg)
+    key_to_id = {row.tobytes(): i for i, row in enumerate(images)}
+    table = [[key_to_id[row.tobytes()] for row in images[a][images]] for a in range(len(elems))]
+    return table, tuple(e.cycle_string() for e in elems)
 
 
 # -- fixtures ------------------------------------------------------------------

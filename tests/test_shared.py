@@ -1,12 +1,13 @@
 """Each derived structure is built once per group and shared by every reader."""
 
+import sys
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
 import centra as c
-from centra import lattice
+from centra import graphs, lattice
 from centra.cli import build_report
 
 
@@ -105,3 +106,36 @@ def test_concurrent_first_calls_get_one_object(d8):
         results = list(pool.map(work, range(16)))
     for k in range(5):
         assert len({id(r[k]) for r in results}) == 1
+
+
+def evaluations(fn, work):
+    """How often the body of the per-group function ``fn`` runs during ``work()``."""
+    code = fn.__wrapped__.__code__
+    calls = 0
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        if event == "call" and frame.f_code is code:
+            calls += 1
+
+    sys.setprofile(profile)
+    try:
+        work()
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+def test_report_evaluates_quotient_consistency_once(d8):
+    G = c.Group(d8.table, d8.labels, d8.name)
+    assert evaluations(graphs.quotient_consistency, lambda: build_report(G, G.name)) == 1
+    assert evaluations(graphs.quotient_consistency, lambda: build_report(G, G.name)) == 0
+    assert c.quotient_consistency(G) is True
+
+
+def test_abelian_quotient_consistency_raises_every_time():
+    G = c.builtin_group("cyclic", 4)
+    for _ in range(2):
+        with pytest.raises(c.AbelianGroupError, match="C4 is abelian: the quotient graph"):
+            c.quotient_consistency(G)
+    assert graphs.quotient_consistency.__wrapped__ not in G._derived
