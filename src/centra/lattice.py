@@ -205,13 +205,20 @@ def _hasse_covers(poset) -> tuple[tuple[int, int], ...]:
     and above no node that is itself above i."""
     n = len(poset.nodes)
     leq = poset.leq
-    above = [sum(1 << j for j in range(n) if j != i and leq(i, j)) for i in range(n)]
+    above = []
+    for i in range(n):
+        up = 0
+        for j in range(n):
+            if j != i and leq(i, j):
+                up |= 1 << j
+        above.append(up)
     edges = []
     for i, up in enumerate(above):
-        higher = 0
-        for k in ids_from_mask(up):
-            higher |= above[k]
-        edges.extend((i, j) for j in ids_from_mask(up & ~higher))
+        if up:
+            higher = 0
+            for k in ids_from_mask(up):
+                higher |= above[k]
+            edges += [(i, j) for j in ids_from_mask(up & ~higher)]
     return tuple(edges)
 
 
