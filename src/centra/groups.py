@@ -29,7 +29,7 @@ DEFAULT_MAX_ORDER = 10**6
 MAX_ORDER_ENV = "CENTRA_MAX_ORDER"
 FULL_ASSOC_LIMIT = 512
 ASSOC_SAMPLE_TRIPLES = 100_000
-BLOCK_ENTRIES = 1 << 20  # products per block in generator closure and _perm_table
+BLOCK_ENTRIES = 1 << 16  # products per block in generator closure and _perm_table
 
 BUILTIN_FAMILIES = ("cyclic", "dihedral", "quaternion8", "symmetric", "heisenberg")
 
