@@ -112,6 +112,7 @@ def _class_index(G: Group) -> dict[int, int]:
     return {m: i for i, cl in enumerate(z_star_partition(G)) for m in cl.members}
 
 
+@per_group
 def class_transversal(G: Group) -> ElemSet:
     """Default transversal of the Z*-partition: the minimal id of each class."""
     return ElemSet.from_ids(G.order, (c.representative for c in z_star_partition(G)))
@@ -122,24 +123,34 @@ def u_star(G: Group, H: SetLike, X: SetLike) -> ElemSet:
 
     Requires H to be a centralizer (a fixed point of the closure) and X to
     contain exactly one representative per Z*-class; then C_G(U*_H) = H.
+    As H <= C_G(x) iff x lies in C_G(H), U*_H is X & C_G(H).
     """
-    H = G.elem_set(H)
-    if centralizer_mask(G, centralizer_mask(G, H.mask)) != H.mask:
+    hm = G.elem_set(H).mask
+    chm = centralizer_mask(G, hm)
+    if centralizer_mask(G, chm) != hm:
         raise ValueError("H is not a centralizer (not closed under the double centralizer)")
-    classes = z_star_partition(G)
-    class_of = _class_index(G)
-    xs = G.set_ids(X)
-    hit = [False] * len(classes)
-    for x in xs:
-        i = class_of[x]
-        if hit[i]:
-            raise ValueError(f"X contains two representatives of the class of element {x}")
-        hit[i] = True
-    if not all(hit):
-        missing = hit.index(False)
+    xm = G.elem_set(X).mask
+    if xm != class_transversal(G).mask:
+        _check_transversal(G, xm)
+    return ElemSet(G.order, xm & chm)
+
+
+def _check_transversal(G: Group, xm: int) -> None:
+    """Raise ValueError unless ``xm`` holds exactly one member of each Z*-class."""
+    firsts = 0  # the least member of X in each class
+    missing = None
+    for c in z_star_partition(G):
+        hits = xm & c.members.mask
+        firsts |= hits & -hits
+        if not hits and missing is None:
+            missing = c.representative
+    extra = xm & ~firsts
+    if extra:
         raise ValueError(
-            f"X is not a transversal: no representative for the class of element "
-            f"{classes[missing].representative}"
+            f"X contains two representatives of the class of element "
+            f"{(extra & -extra).bit_length() - 1}"
         )
-    cms = G.cent_masks
-    return ElemSet.from_ids(G.order, (x for x in xs if H.mask & ~cms[x] == 0))
+    if missing is not None:
+        raise ValueError(
+            f"X is not a transversal: no representative for the class of element {missing}"
+        )

@@ -13,12 +13,9 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from .centralizers import (
-    centralizer,
     centralizer_mask,
-    class_transversal,
     closure,
     is_abelian_subset,
-    u_star,
     z_star_partition,
 )
 from .graphs import (
@@ -280,11 +277,12 @@ def lattice_suite(G: Group, rng: random.Random, samples: int) -> list[PropertyRe
                 break
     s.record("duality_involution", witness)
 
-    pair_idx = [(i, j) for i in range(k) for j in range(k)]
-    if len(pair_idx) > 4 * samples and k > 40:
+    if k * k > 4 * samples and k > 40:
         pair_idx = [
             (rng.randrange(k), rng.randrange(k)) for _ in range(4 * samples)
         ]
+    else:
+        pair_idx = [(i, j) for i in range(k) for j in range(k)]
     witness = None
     for i, j in pair_idx:
         if lat.leq(i, j) != lat.leq(lat.dual[j], lat.dual[i]):
@@ -293,6 +291,7 @@ def lattice_suite(G: Group, rng: random.Random, samples: int) -> list[PropertyRe
     s.record("duality_order_reversing", witness, f"{len(pair_idx)} node pairs")
 
     witness = None
+    node_masks = [node.mask for node in nodes]
     for i, j in pair_idx:
         H, K = nodes[i], nodes[j]
         try:
@@ -305,23 +304,21 @@ def lattice_suite(G: Group, rng: random.Random, samples: int) -> list[PropertyRe
             witness = f"meet({lat.node_label(i)},{lat.node_label(j)})"
             break
         # Join must be the least node containing both.
+        both = H.mask | K.mask
         expected = G.full_mask
-        for other in nodes:
-            if (H.mask | K.mask) & ~other.mask == 0:
-                expected &= other.mask
+        for om in node_masks:
+            if both & ~om == 0:
+                expected &= om
         if jn.mask != expected:
             witness = f"join({lat.node_label(i)},{lat.node_label(j)})"
             break
     s.record("meet_join_closed_and_least", witness, f"{len(pair_idx)} node pairs")
 
-    X = class_transversal(G)
+    ustar = lat.ustar
     witness = None
     for i, j in pair_idx:
-        H, K = nodes[i], nodes[j]
-        uh = u_star(G, H, X).mask
-        uk = u_star(G, K, X).mask
-        ujoin = u_star(G, lat.join(H, K), X).mask
-        if ujoin != uh & uk:
+        ujoin = ustar[lat.index_of(lat.join(nodes[i], nodes[j]))].mask
+        if ujoin != ustar[i].mask & ustar[j].mask:
             witness = f"U*({lat.node_label(i)} v {lat.node_label(j)})"
             break
     s.record("ustar_intersection_law", witness, f"{len(pair_idx)} node pairs")
@@ -455,10 +452,9 @@ def partition_suite(G: Group, rng: random.Random, samples: int) -> list[Property
             break
     s.record("partition_theorem_on_lattice", witness, f"{len(lat.nodes)} nodes")
 
-    X = class_transversal(G)
     witness = None
-    for i, node in enumerate(lat.nodes):
-        if centralizer(G, u_star(G, node, X)).mask != node.mask:
+    for i, (node, u) in enumerate(zip(lat.nodes, lat.ustar)):
+        if centralizer_mask(G, u.mask) != node.mask:
             witness = f"C(U*) != H at {lat.node_label(i)}"
             break
     s.record("ustar_recovers_nodes", witness)

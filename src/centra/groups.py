@@ -22,7 +22,7 @@ from typing import Callable, Iterable, Optional, Sequence, TypeVar, Union
 
 import numpy as np
 
-from .perm import Permutation, parse_cycle_notation
+from .perm import Permutation, cycle_strings, parse_cycle_notation
 from .sets import ElemSet, Subgroup, ids_from_mask
 
 DEFAULT_MAX_ORDER = 10**6
@@ -320,7 +320,7 @@ def group_from_generators(
                 index[f] = len(found)
                 found.append(f)
     images = np.array(found, dtype=np.intp).reshape(len(found), deg)
-    labels = [Permutation(f).cycle_string() for f in found]
+    labels = cycle_strings(found, deg)
     return Group(_perm_table(images), labels, name)
 
 
@@ -381,6 +381,8 @@ def group_from_generator_file(source: Union[str, Path], *, max_order: Optional[i
         deg = int(lines[0].split()[1])
     except (IndexError, ValueError) as exc:
         raise ValueError(f"{path}: bad degree in header {lines[0]!r}") from exc
+    if deg <= 0:
+        raise ValueError(f"{path}: degree must be positive, got {deg}")
     gens = [parse_cycle_notation(ln, deg) for ln in lines[1:]]
     return group_from_generators(gens, degree=deg, name=path.stem, max_order=max_order)
 
@@ -490,7 +492,7 @@ def _symmetric_group(n: int, max_order: Optional[int] = None) -> Group:
     if order > bound:
         raise OrderBoundError(f"S{n} order {order} exceeds the order bound {bound}")
     perms = list(itertools.permutations(range(n)))  # element ids in this order
-    labels = ["1"] + [Permutation(p).cycle_string() for p in perms[1:]]
+    labels = ["1"] + cycle_strings(perms[1:], n)
     return Group(_perm_table(np.array(perms, dtype=np.intp)), labels, f"S{n}")
 
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import Optional, Union
 
-from .centralizers import centralizer_mask, z_star_partition
+from .centralizers import centralizer_mask, class_transversal, u_star, z_star_partition
 from .groups import Group, InvariantViolation, per_group, subgroup_generated_by, subgroup_label
 from .sets import ElemSet, Subgroup, ids_from_mask
 
@@ -19,7 +19,8 @@ class _NodeOrder:
     """Distinct subgroups of one group, ordered by containment.
 
     Nodes are sorted by size then lexicographic member list, so node indices
-    (and everything derived from them) are stable across runs.
+    (and everything derived from them) are stable across runs.  Every node is
+    a centralizer, hence a union of Z*-classes.
     """
 
     _kind: str  # "lattice" or "poset", for "is not a ... node" errors
@@ -57,6 +58,39 @@ class _NodeOrder:
 
     def node_label(self, i: int) -> str:
         return self.labels[i]
+
+    @property
+    @per_group
+    def above(self) -> tuple[int, ...]:
+        """Strict up-sets: bit j of ``above[i]`` is set iff node i lies
+        properly inside node j.
+
+        A union of Z*-classes contains node i iff it contains the class
+        representatives in node i, so ``above[i]`` ANDs together, per such
+        representative, the mask of the nodes that hold it.
+        """
+        reps = class_transversal(self.group).mask
+        node_reps = [ids_from_mask(node.mask & reps) for node in self.nodes]
+        holders: dict[int, int] = {}
+        for i, rs in enumerate(node_reps):
+            bit = 1 << i
+            for r in rs:
+                holders[r] = holders.get(r, 0) | bit
+        everything = (1 << len(self.nodes)) - 1
+        above = []
+        for i, rs in enumerate(node_reps):
+            up = everything
+            for r in rs:
+                up &= holders[r]
+            above.append(up ^ (1 << i))
+        return tuple(above)
+
+    @property
+    @per_group
+    def below(self) -> tuple[int, ...]:
+        """Strict down-sets: bit j of ``below[i]`` is set iff node j lies
+        properly inside node i."""
+        return _transpose(self.above)
 
     @property
     @per_group
@@ -105,27 +139,32 @@ class CentLattice(_NodeOrder):
             raise InvariantViolation("join of lattice nodes is not a node")
         return self.nodes[self._index[jm]]
 
+    @property
+    @per_group
+    def ustar(self) -> tuple[ElemSet, ...]:
+        """U*_H of every node H over the default transversal; see ``u_star``."""
+        X = class_transversal(self.group)
+        return tuple(u_star(self.group, node, X) for node in self.nodes)
+
 
 @per_group
 def build_lattice(G: Group) -> CentLattice:
-    """Close {G} and the element centralizers under pairwise intersection.
+    """Close {G} under intersection with the distinct element centralizers.
 
-    By the intersection law this yields every C_G(S), without touching the
-    power set.
+    By the intersection law every C_G(S) is the intersection of the C_G(s),
+    s in S, so this yields every centralizer without touching the power set.
     """
+    gens = set(G.cent_masks)
+    gens.discard(G.full_mask)
     masks = {G.full_mask}
-    masks.update(G.cent_masks)
-    worklist = list(masks)
+    worklist = [G.full_mask]
     while worklist:
         m = worklist.pop()
-        additions = []
-        for other in masks:
-            x = m & other
+        for g in gens:
+            x = m & g
             if x not in masks:
-                additions.append(x)
-        for x in additions:
-            masks.add(x)
-            worklist.append(x)
+                masks.add(x)
+                worklist.append(x)
     return CentLattice(G, list(masks))
 
 
@@ -200,18 +239,37 @@ def f_group_chain_witness(G: Group) -> Optional[tuple[int, int]]:
     return None
 
 
+def _transpose(sets: tuple[int, ...]) -> tuple[int, ...]:
+    """The converse relation: bit i of ``out[j]`` iff bit j of ``sets[i]``."""
+    out = [0] * len(sets)
+    for i, m in enumerate(sets):
+        bit = 1 << i
+        for j in ids_from_mask(m):
+            out[j] |= bit
+    return tuple(out)
+
+
+def _up_sets(poset) -> tuple[int, ...]:
+    """Strict up-set bitmasks of a CentLattice or CenterPoset (its shared
+    ``above``), or of any other ``nodes``/``leq`` object, filled from ``leq``."""
+    if isinstance(poset, _NodeOrder):
+        return poset.above
+    n = len(poset.nodes)
+    leq = poset.leq
+    return tuple(
+        sum(1 << j for j in range(n) if j != i and leq(i, j)) for i in range(n)
+    )
+
+
+def _down_sets(poset) -> tuple[int, ...]:
+    """Strict down-set bitmasks, the converse of ``_up_sets``."""
+    return poset.below if isinstance(poset, _NodeOrder) else _transpose(_up_sets(poset))
+
+
 def _hasse_covers(poset) -> tuple[tuple[int, int], ...]:
     """Covering pairs from strict up-set bitmasks: j covers i iff j is above i
     and above no node that is itself above i."""
-    n = len(poset.nodes)
-    leq = poset.leq
-    above = []
-    for i in range(n):
-        up = 0
-        for j in range(n):
-            if j != i and leq(i, j):
-                up |= 1 << j
-        above.append(up)
+    above = _up_sets(poset)
     edges = []
     for i, up in enumerate(above):
         if up:

@@ -7,7 +7,8 @@ from typing import Optional
 
 from .centralizers import z_star_partition
 from .groups import Group, InvariantViolation
-from .lattice import CenterPoset, build_lattice, center_poset, is_f_group
+from .lattice import CenterPoset, _down_sets, build_lattice, center_poset, is_f_group
+from .sets import ids_from_mask
 
 
 @dataclass(frozen=True)
@@ -31,20 +32,14 @@ def moebius(P: CenterPoset) -> MoebiusTable:
 def _moebius_table(P) -> MoebiusTable:
     n = len(P.nodes)
     mn = P.min_index
+    below = _down_sets(P)
     for j in range(n):
-        if not P.leq(mn, j):
+        if j != mn and not (below[j] >> mn) & 1:
             raise ValueError("poset has no unique minimal element")
     # Node order is (size, lex), which is topological for containment.
     mu = [0] * n
     for i in range(n):
-        if i == mn:
-            mu[i] = 1
-            continue
-        total = 0
-        for j in range(n):
-            if j != i and P.leq(j, i):
-                total += mu[j]
-        mu[i] = -total
+        mu[i] = 1 if i == mn else -sum(mu[j] for j in ids_from_mask(below[i]))
     return MoebiusTable(P, tuple(mu))
 
 

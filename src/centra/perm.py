@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import re
-from typing import Iterable
+from typing import Iterable, Sequence
 
 
 class CycleNotationError(ValueError):
@@ -71,10 +71,7 @@ class Permutation:
 
     def cycle_string(self) -> str:
         """Cycle notation over 1-based points; the identity is ``()``."""
-        cycs = self.cycles()
-        if not cycs:
-            return "()"
-        return "".join("(" + ",".join(str(p + 1) for p in cyc) + ")" for cyc in cycs)
+        return cycle_strings([self.images], self.degree)[0]
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Permutation):
@@ -86,6 +83,29 @@ class Permutation:
 
     def __repr__(self) -> str:
         return f"Permutation({self.cycle_string()!r}, degree={self.degree})"
+
+
+def cycle_strings(perms: Iterable[Sequence[int]], degree: int) -> list[str]:
+    """Cycle notation over 1-based points of each bijection in ``perms`` (image
+    sequences of length ``degree``, trusted rather than re-checked).  Each cycle
+    starts at its least point, cycles go in order of those points, and the
+    identity is ``()``."""
+    names = [str(p + 1) for p in range(degree)]
+    out = []
+    for images in perms:
+        seen = bytearray(degree)
+        parts = []
+        for start, x in enumerate(images):
+            if x == start or seen[start]:
+                continue
+            cyc = [names[start]]
+            while x != start:
+                seen[x] = 1
+                cyc.append(names[x])
+                x = images[x]
+            parts.append("(" + ",".join(cyc) + ")")
+        out.append("".join(parts) or "()")
+    return out
 
 
 def parse_cycle_notation(text: str, degree: int) -> Permutation:

@@ -49,6 +49,86 @@ def naive_abelian_subset(G, ids):
     return all(G.mul(a, b) == G.mul(b, a) for a in ids for b in ids)
 
 
+def pairwise_lattice_masks(G):
+    """Lattice node masks by the former closure: {G} and every element
+    centralizer, closed under intersection with every mask found so far."""
+    masks = {G.full_mask}
+    masks.update(G.cent_masks)
+    worklist = list(masks)
+    while worklist:
+        m = worklist.pop()
+        additions = [m & other for other in masks if m & other not in masks]
+        for x in additions:
+            masks.add(x)
+            worklist.append(x)
+    return masks
+
+
+def leq_up_sets(obj):
+    """Strict up-set bitmasks of a ``nodes``/``leq`` object, one ``leq`` per pair."""
+    n = len(obj.nodes)
+    return [sum(1 << j for j in range(n) if j != i and obj.leq(i, j)) for i in range(n)]
+
+
+def leq_down_sets(obj):
+    """Strict down-set bitmasks of a ``nodes``/``leq`` object, one ``leq`` per pair."""
+    n = len(obj.nodes)
+    return [sum(1 << j for j in range(n) if j != i and obj.leq(j, i)) for i in range(n)]
+
+
+def leq_covers(obj):
+    """Covering pairs (i, j) by definition: i < j with no node strictly between."""
+    up, down = leq_up_sets(obj), leq_down_sets(obj)
+    return [
+        (i, j)
+        for i in range(len(obj.nodes))
+        for j in range(len(obj.nodes))
+        if (up[i] >> j) & 1 and not up[i] & down[j]
+    ]
+
+
+def leq_moebius(obj):
+    """mu by the recursion over ``leq``: 1 at the minimum, else minus the sum
+    over every node strictly below (node order is topological)."""
+    n = len(obj.nodes)
+    mu = []
+    for i in range(n):
+        below = sum(mu[j] for j in range(i) if obj.leq(j, i))
+        mu.append(1 if i == obj.min_index else -below)
+    return mu
+
+
+def naive_u_star(G, H, xs, cents):
+    """U*_H by definition: the ids x in ``xs`` whose centralizer contains H.
+    ``cents`` caches naive_centralizer(G, [x]) as a mask per x."""
+    out = []
+    for x in xs:
+        if x not in cents:
+            cents[x] = sum(1 << y for y in naive_centralizer(G, [x]))
+        if H.mask & ~cents[x] == 0:
+            out.append(x)
+    return out
+
+
+def former_transversal_error(G, X):
+    """The message the former id loop of ``u_star`` raised for X, or None."""
+    classes = c.z_star_partition(G)
+    class_of = {m: i for i, cl in enumerate(classes) for m in cl.members}
+    hit = [False] * len(classes)
+    for x in sorted(set(X)):
+        i = class_of[x]
+        if hit[i]:
+            return f"X contains two representatives of the class of element {x}"
+        hit[i] = True
+    if not all(hit):
+        missing = hit.index(False)
+        return (
+            f"X is not a transversal: no representative for the class of element "
+            f"{classes[missing].representative}"
+        )
+    return None
+
+
 def commutes(G, x, y):
     return G.mul(x, y) == G.mul(y, x)
 
@@ -231,6 +311,37 @@ def fleet(d8, q8, h3):
         "H3xH3": c.direct_product(h3, h3),
         "UT4_2": unitriangular4(2),
     }
+
+
+ORDER_FLEET = ("S4", "S5", "S6", "D16", "Q8", "H3", "H5", "UT4_3")
+
+
+@pytest.fixture(scope="session")
+def order_fleet(s4, q8, h3):
+    """Groups whose lattices and posets the order-structure oracles cover:
+    up to 513 lattice nodes (S6) and 236 (UT(4,3))."""
+    return {
+        "S4": s4,
+        "S5": c.builtin_group("symmetric", 5),
+        "S6": c.builtin_group("symmetric", 6),
+        "D16": c.builtin_group("dihedral", 16),
+        "Q8": q8,
+        "H3": h3,
+        "H5": c.builtin_group("heisenberg", 5),
+        "UT4_3": unitriangular4(3),
+    }
+
+
+class NodesLeq:
+    """A plain ``nodes``/``min_index``/``leq`` view of a lattice or poset, so
+    the order algorithms take their generic path."""
+
+    def __init__(self, obj, min_index=0):
+        self.nodes = obj.nodes
+        self.min_index = min_index  # the center sorts first in both
+
+    def leq(self, i, j):
+        return self.nodes[i].mask & ~self.nodes[j].mask == 0
 
 
 @pytest.fixture(scope="session")

@@ -232,6 +232,15 @@ class TestExitCodes:
         assert res.returncode == 2
         assert "latin" in res.stderr or "identity" in res.stderr
 
+    @pytest.mark.parametrize("degree", ["0", "-2"])
+    def test_non_positive_generator_degree_is_usage_error(self, tmp_path, degree):
+        gens = tmp_path / "empty.gens"
+        gens.write_text(f"perm {degree}\n")
+        res = run_cli("analyze", "--gens", str(gens))
+        assert res.returncode == 2
+        assert res.stdout == ""
+        assert res.stderr == f"centra: {gens}: degree must be positive, got {degree}\n"
+
     def test_emit_to_unwritable_path_is_io_error(self, tmp_path):
         res = run_cli("emit", "--builtin", "dihedral:8", "lattice-dot", str(tmp_path / "no" / "dir.dot"))
         assert res.returncode == 3

@@ -1,7 +1,22 @@
+import random
+
 import pytest
 
 import centra as c
-from conftest import by_label, label_set, naive_centralizer
+from conftest import (
+    ORDER_FLEET,
+    NodesLeq,
+    by_label,
+    former_transversal_error,
+    label_set,
+    leq_covers,
+    leq_down_sets,
+    leq_up_sets,
+    naive_centralizer,
+    naive_u_star,
+    pairwise_lattice_masks,
+)
+from centra import lattice
 from centra.sets import ids_from_mask
 
 
@@ -26,7 +41,16 @@ class TestBuildLattice:
         ]
 
     def test_powerset_oracle(self, small_groups, s3):
-        groups = [G for G in small_groups.values() if G.order <= 12]
+        groups = [G for G in small_groups.values() if G.order <= 12] + [
+            c.builtin_group("cyclic", 9),
+            c.builtin_group("dihedral", 10),
+            c.builtin_group("dihedral", 12),
+            c.group_from_generators(
+                [c.parse_cycle_notation("(1,2,3)", 4), c.parse_cycle_notation("(1,2)(3,4)", 4)],
+                name="A4",
+            ),
+            c.direct_product(s3, c.builtin_group("cyclic", 2)),
+        ]
         for G in groups:
             lat = c.build_lattice(G)
             seen = set()
@@ -37,6 +61,11 @@ class TestBuildLattice:
                     mask |= 1 << x
                 seen.add(mask)
             assert seen == {n.mask for n in lat.nodes}
+
+    @pytest.mark.parametrize("name", ORDER_FLEET)
+    def test_matches_pairwise_closure(self, order_fleet, name):
+        G = order_fleet[name]
+        assert {n.mask for n in c.build_lattice(G).nodes} == pairwise_lattice_masks(G)
 
     def test_nodes_are_fixed_points(self, fleet):
         for G in fleet.values():
@@ -240,6 +269,65 @@ class TestHasse:
                 for k in range(len(lat.nodes)):
                     if k not in (i, j):
                         assert not (lat.leq(i, k) and lat.leq(k, j))
+
+
+class TestOrderMasks:
+    """Up/down-sets and covers against ``leq``, one pair at a time."""
+
+    @pytest.mark.parametrize("kind", ["lattice", "poset"])
+    @pytest.mark.parametrize("name", ORDER_FLEET)
+    def test_match_leq(self, order_fleet, name, kind):
+        G = order_fleet[name]
+        obj = c.build_lattice(G) if kind == "lattice" else c.center_poset(G)
+        assert list(obj.above) == leq_up_sets(obj)
+        assert list(obj.below) == leq_down_sets(obj)
+        assert list(c.hasse_edges(obj)) == leq_covers(obj)
+
+    @pytest.mark.parametrize("name", ["S4", "D16", "H5", "UT4_3"])
+    def test_generic_nodes_leq_object(self, order_fleet, name):
+        G = order_fleet[name]
+        for obj in (c.build_lattice(G), c.center_poset(G)):
+            view = NodesLeq(obj)
+            assert lattice._up_sets(view) == obj.above
+            assert lattice._down_sets(view) == obj.below
+            assert c.hasse_edges(view) == c.hasse_edges(obj)
+            assert c.hasse_edges(view) is not c.hasse_edges(view)  # computed afresh
+
+
+class TestUStar:
+    @pytest.mark.parametrize("name", ORDER_FLEET)
+    def test_matches_definition_on_every_node(self, order_fleet, name):
+        G = order_fleet[name]
+        lat = c.build_lattice(G)
+        X = c.class_transversal(G)
+        largest = sorted(cl.members.members[-1] for cl in c.z_star_partition(G))  # another transversal
+        cents = {}
+        for i, node in enumerate(lat.nodes):
+            expected = tuple(naive_u_star(G, node, X, cents))
+            assert c.u_star(G, node, X).members == expected
+            assert lat.ustar[i].members == expected
+            assert c.u_star(G, node, largest).members == tuple(naive_u_star(G, node, largest, cents))
+
+    @pytest.mark.parametrize("name", ORDER_FLEET)
+    def test_bad_transversal_messages(self, order_fleet, name):
+        G = order_fleet[name]
+        T = list(c.class_transversal(G))
+        bad = []
+        for cl in c.z_star_partition(G):
+            bad.append([x for x in T if x != cl.representative])  # misses the class
+            if len(cl.members) > 1:
+                bad.append(T + [cl.members.members[-1]])  # two of the class
+        rng = random.Random(name)
+        for _ in range(30):
+            bad.append(rng.sample(range(G.order), rng.randint(0, G.order)))
+        H = c.build_lattice(G).nodes[-1]
+        for X in bad:
+            message = former_transversal_error(G, X)
+            if message is None:
+                continue
+            with pytest.raises(ValueError) as err:
+                c.u_star(G, H, X)
+            assert str(err.value) == message
 
 
 class TestUStarIntersectionLaw:

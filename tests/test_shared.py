@@ -100,17 +100,19 @@ def test_concurrent_first_calls_get_one_object(d8):
 
     def work(_):
         lat, poset = c.build_lattice(G), c.center_poset(G)
-        return lat, poset, c.commuting_graph(G), c.hasse_edges(lat), c.moebius(poset)
+        return (lat, poset, c.commuting_graph(G), c.hasse_edges(lat), c.moebius(poset),
+                lat.above, poset.below, lat.ustar)
 
     with ThreadPoolExecutor(max_workers=8) as pool:
         results = list(pool.map(work, range(16)))
-    for k in range(5):
+    for k in range(8):
         assert len({id(r[k]) for r in results}) == 1
 
 
 def evaluations(fn, work):
-    """How often the body of the per-group function ``fn`` runs during ``work()``."""
-    code = fn.__wrapped__.__code__
+    """How often the body of ``fn`` (of a per-group function: its wrapped body)
+    runs during ``work()``."""
+    code = getattr(fn, "__wrapped__", fn).__code__
     calls = 0
 
     def profile(frame, event, arg):
@@ -139,3 +141,9 @@ def test_abelian_quotient_consistency_raises_every_time():
         with pytest.raises(c.AbelianGroupError, match="C4 is abelian: the quotient graph"):
             c.quotient_consistency(G)
     assert graphs.quotient_consistency.__wrapped__ not in G._derived
+
+
+def test_s6_report_evaluates_u_star_once_per_lattice_node():
+    G = c.builtin_group("symmetric", 6)
+    assert evaluations(c.u_star, lambda: build_report(G, G.name)) == len(c.build_lattice(G))
+    assert evaluations(c.u_star, lambda: build_report(G, G.name)) == 0
