@@ -1,8 +1,10 @@
 """Named property suites driven by the CLI verifier and the test fleet.
 
 Each suite replays the theorem-backed invariants of its area on one group:
-exhaustively over the power set for tiny groups, and on seeded random
-samples above that, so identical invocations always test identical cases.
+exhaustively over the power set up to order ``EXHAUSTIVE_LIMIT``, and on
+seeded random samples above that (``samples`` cases per algebra law, drawn as
+masks from one numpy ``Generator`` seeded from the suite's ``random.Random``),
+so identical invocations always test identical cases.
 """
 
 from __future__ import annotations
@@ -11,6 +13,8 @@ import itertools
 import random
 from dataclasses import dataclass, field
 from typing import Callable, Optional
+
+import numpy as np
 
 from .centralizers import (
     centralizer_mask,
@@ -33,7 +37,7 @@ from .moebius import (
     moebius,
     p_group_prime,
 )
-from .sets import ElemSet, ids_from_mask, mask_from_ids
+from .sets import ElemSet, ids_from_mask
 
 SUITES = ("algebra", "lattice", "partition", "moebius", "graphs")
 
@@ -82,17 +86,33 @@ class _Suite:
         self.results.append(PropertyResult(f"{self.prefix}/{name}", "skip", reason))
 
 
-def _subset_pool(G: Group, rng: random.Random, samples: int, max_size: Optional[int] = None):
-    """Subset masks: the whole power set up to EXHAUSTIVE_LIMIT, else a seeded sample."""
-    n = G.order
-    if n <= EXHAUSTIVE_LIMIT:
-        return range(1 << n)
-    pool = []
-    cap = n if max_size is None else min(n, max_size)
-    for _ in range(samples):
-        k = rng.randint(0, cap)
-        pool.append(mask_from_ids(rng.sample(range(n), k)))
-    return pool
+def _random_row(gen: np.random.Generator, n: int, within, cap: int) -> np.ndarray:
+    """Bool row over range(n) of a random subset of ``within`` (an id array, or
+    an int for range(within)): its size uniform on 0..cap, then uniform among
+    the subsets of that size."""
+    row = np.zeros(n, dtype=bool)
+    row[gen.choice(within, int(gen.integers(cap + 1)), replace=False)] = True
+    return row
+
+
+def _row_mask(row: np.ndarray) -> int:
+    return int.from_bytes(np.packbits(row, bitorder="little").tobytes(), "little")
+
+
+def _subset_masks(gen: np.random.Generator, n: int, count: int, cap: int) -> list[int]:
+    """``count`` random subset masks of range(n), each of at most ``cap`` ids."""
+    return [_row_mask(_random_row(gen, n, n, cap)) for _ in range(count)]
+
+
+def _sampled_pairs(gen: np.random.Generator, n: int, count: int) -> list[tuple[int, int]]:
+    """``count`` pairs (S, T) of subset masks with S <= T: T as from _subset_masks
+    with cap n, then S a random subset of T's ids."""
+    pairs = []
+    for _ in range(count):
+        t_row = _random_row(gen, n, n, n)
+        t_ids = np.flatnonzero(t_row)
+        pairs.append((_row_mask(_random_row(gen, n, t_ids, len(t_ids))), _row_mask(t_row)))
+    return pairs
 
 
 def _centralizer_table(G: Group) -> list[int]:
@@ -131,14 +151,32 @@ class _Cases:
 def algebra_suite(G: Group, rng: random.Random, samples: int) -> list[PropertyResult]:
     s = _Suite("algebra")
     n = G.order
+    size = 1 << n
     exhaustive = n <= EXHAUSTIVE_LIMIT
-    pool = _subset_pool(G, rng, samples)
     if exhaustive:
         cm = _centralizer_table(G).__getitem__
+        pool = gen_pool = range(size)
+        pairs = _Cases(3**n, lambda: _subset_pairs(n))
+        collections = _Cases(
+            size * (size + 1) // 2,
+            lambda: ((a, b) for a in range(size) for b in range(a, size)),
+        )
+        gpairs = _Cases(size * size, lambda: itertools.product(range(size), repeat=2))
     else:
         cm = lambda mask: centralizer_mask(G, mask)
+        gen = np.random.default_rng(rng.getrandbits(64))
+        pairs = _sampled_pairs(gen, n, samples)
+        pool = [t_mask for _, t_mask in pairs]
+        collections = [
+            tuple(_subset_masks(gen, n, int(gen.integers(1, 5)), n // 2)) for _ in range(samples)
+        ]
+        gen_pool = _subset_masks(gen, n, samples, min(n, 6))
+        gpairs = list(zip(_subset_masks(gen, n, samples, n), _subset_masks(gen, n, samples, n)))
 
+    # C(empty) = C({1}) = G: the empty set and {1} both generate the trivial subgroup.
     witness = None if cm(0) == G.full_mask else "C(empty) != G"
+    if witness is None and cm(1) != G.full_mask:
+        witness = "C({0}) != G"
     s.record("empty_set_centralizer", witness)
 
     witness = None
@@ -154,14 +192,6 @@ def algebra_suite(G: Group, rng: random.Random, samples: int) -> list[PropertyRe
 
     # Antitone law over ordered pairs S <= T.
     witness = None
-    if exhaustive:
-        pairs = _Cases(3**n, lambda: _subset_pairs(n))
-    else:
-        pairs = []
-        for t_mask in pool:
-            ids = ids_from_mask(t_mask)
-            k = rng.randint(0, len(ids))
-            pairs.append((mask_from_ids(rng.sample(ids, k)), t_mask))
     for s_mask, t_mask in pairs:
         if cm(t_mask) & ~cm(s_mask):
             witness = f"S={_mask_str(s_mask)} T={_mask_str(t_mask)}"
@@ -170,20 +200,6 @@ def algebra_suite(G: Group, rng: random.Random, samples: int) -> list[PropertyRe
 
     # Intersection law over pairs and a few wider collections.
     witness = None
-    size = 1 << n
-    if exhaustive:
-        collections = _Cases(
-            size * (size + 1) // 2,
-            lambda: ((a, b) for a in range(size) for b in range(a, size)),
-        )
-    else:
-        collections = []
-        for _ in range(samples):
-            k = rng.randint(1, 4)
-            collections.append(tuple(
-                mask_from_ids(rng.sample(range(n), rng.randint(0, n // 2)))
-                for _ in range(k)
-            ))
     for coll in collections:
         union = 0
         inter = G.full_mask
@@ -197,7 +213,6 @@ def algebra_suite(G: Group, rng: random.Random, samples: int) -> list[PropertyRe
 
     # C(S) = C(<S>); generated subgroups kept small on purpose.
     witness = None
-    gen_pool = _subset_pool(G, rng, samples, max_size=6)
     for m in gen_pool:
         if cm(m) != cm(subgroup_generated_by(G, ElemSet(n, m)).mask):
             witness = f"S={_mask_str(m)}"
@@ -214,14 +229,6 @@ def algebra_suite(G: Group, rng: random.Random, samples: int) -> list[PropertyRe
 
     # Galois: T <= C(S) iff S <= C(T), over arbitrary pairs.
     witness = None
-    if exhaustive:
-        gpairs = _Cases(size * size, lambda: itertools.product(range(size), repeat=2))
-    else:
-        gpairs = []
-        for _ in range(samples):
-            a = mask_from_ids(rng.sample(range(n), rng.randint(0, n)))
-            b = mask_from_ids(rng.sample(range(n), rng.randint(0, n)))
-            gpairs.append((a, b))
     for a, b in gpairs:
         if (b & ~cm(a) == 0) != (a & ~cm(b) == 0):
             witness = f"S={_mask_str(a)} T={_mask_str(b)}"

@@ -207,7 +207,7 @@ def per_group(fn: Callable[[Group], T]) -> Callable[[Group], T]:
 
 def subgroup_generated_by(G: Group, S: SetLike) -> Subgroup:
     """Smallest subgroup containing ``S``; the empty set generates {identity}."""
-    table = G.table
+    item = G.table.item
     mask = 1
     queue = [0]
     for s in G.set_ids(S):
@@ -219,9 +219,8 @@ def subgroup_generated_by(G: Group, S: SetLike) -> Subgroup:
     while i < len(queue):
         x = queue[i]
         i += 1
-        row = table[x]
         for g in gens:
-            y = int(row[g])
+            y = item(x, g)
             if not (mask >> y) & 1:
                 mask |= 1 << y
                 queue.append(y)
@@ -240,11 +239,12 @@ def is_subgroup(G: Group, S: SetLike) -> bool:
 
 
 def _cyclic_mask(G: Group, g: int) -> int:
+    item = G.table.item
     mask = 1
     x = g
     while x != 0:
         mask |= 1 << x
-        x = int(G.table[x, g])
+        x = item(x, g)
     return mask
 
 

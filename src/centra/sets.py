@@ -10,13 +10,6 @@ from __future__ import annotations
 from typing import Iterable, Iterator
 
 
-def mask_from_ids(ids: Iterable[int]) -> int:
-    mask = 0
-    for i in ids:
-        mask |= 1 << i
-    return mask
-
-
 def ids_from_mask(mask: int) -> tuple[int, ...]:
     """Set bits of ``mask`` as ascending indices."""
     out = []

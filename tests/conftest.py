@@ -44,6 +44,14 @@ def naive_generated(G, ids):
         cur = nxt
 
 
+def mask_from_ids(ids):
+    """Bitmask with bit i set for each id i, without range checks."""
+    mask = 0
+    for i in ids:
+        mask |= 1 << i
+    return mask
+
+
 def naive_abelian_subset(G, ids):
     ids = list(ids)
     return all(G.mul(a, b) == G.mul(b, a) for a in ids for b in ids)

@@ -9,8 +9,9 @@ from conftest import (
     naive_abelian_subset,
     naive_centralizer,
     naive_closure,
+    mask_from_ids,
 )
-from centra.sets import ids_from_mask, mask_from_ids
+from centra.sets import ids_from_mask
 
 
 class TestCentralizer:

@@ -1,11 +1,14 @@
 """The property suites themselves: pinned output, and failures on a broken kernel."""
 
+import collections
+import math
 from functools import cached_property
 
+import numpy as np
 import pytest
 
 import centra as c
-from centra.checks import run_suite
+from centra.checks import _sampled_pairs, _subset_masks, run_suite
 from centra.cli import build_report
 
 # run_suite(G, "algebra") on any group of order 8, as (name, status, detail).
@@ -69,14 +72,91 @@ def test_flipped_copy_of_analysed_group_fails(d8):
     assert c.z_star_partition(bad) != c.z_star_partition(d8)
 
 
-@pytest.mark.parametrize(
-    "g_label,h_label",
-    [("a", "b"), ("a", "a^2")],  # b wrongly joins C(a); a^2 wrongly leaves it
-)
-def test_flipped_bit_fails_sampled_branch(fleet, g_label, h_label):
-    G = fleet["D16"]
+# Every flip in the masks of D16's a and b, and two on H3 (order 27):
+# (1,0,0) wrongly joins C((0,1,0)); the central (0,0,1) wrongly leaves it.
+SAMPLED_FLIPS = [
+    pytest.param("D16", g, h, id=f"{g}-{h}")
+    for g in ("a", "b")
+    for h in c.builtin_group("dihedral", 16).labels
+] + [
+    pytest.param("H3", "(0,1,0)", h, id=f"H3-(0,1,0)-{h}") for h in ("(1,0,0)", "(0,0,1)")
+]
+
+# Flips that only subsets inside C(h) + {g} can show, that is, a few small
+# draws: the default 200 cases at seed 0 happen to miss these, 2000 catch them.
+MISSED_AT_DEFAULT_SAMPLES = {("a", "ab"), ("a", "a^5b")}
+
+
+@pytest.mark.parametrize("key,g_label,h_label", SAMPLED_FLIPS)
+def test_flipped_bit_fails_sampled_branch(fleet, key, g_label, h_label):
+    G = fleet[key]
     assert G.order > 8
-    g, h = G.labels.index(g_label), G.labels.index(h_label)
-    failed = failures(FlippedCentMasks(G, g, h))
+    bad = FlippedCentMasks(G, G.labels.index(g_label), G.labels.index(h_label))
+    failed = failures(bad)
+    if (g_label, h_label) in MISSED_AT_DEFAULT_SAMPLES:
+        assert not failed
+        failed = [r for r in run_suite(bad, "algebra", samples=2000) if r.failed]
     assert failed
     assert all(r.witness for r in failed)
+
+
+@pytest.mark.parametrize("key", ["D8", "D16"])
+def test_identity_mask_flip_fails_empty_set_law(fleet, key):
+    """C(empty) = C({1}) = G reads C(1): every flip in it fails that law itself,
+    on the tabulated (D8) and the sampled (D16) branch."""
+    G = fleet[key]
+    for h in G.elements():
+        (law,) = [r for r in run_suite(FlippedCentMasks(G, 0, h), "algebra")
+                  if r.name == "algebra/empty_set_centralizer"]
+        assert law.failed and law.witness == "C({0}) != G", h
+
+
+def test_sampled_witnesses_follow_the_seed(fleet):
+    """Identical seeds test identical cases, so a fault shows the same witnesses;
+    other seeds draw other cases."""
+    bad = FlippedCentMasks(fleet["D16"], fleet["D16"].labels.index("a"), 0)
+    witnesses = lambda seed: [(r.name, r.witness) for r in run_suite(bad, "algebra", seed=seed)]
+    assert witnesses(3) == witnesses(3)
+    assert len({tuple(witnesses(seed)) for seed in range(5)}) > 1
+
+
+N, DRAWS = 10, 20_000
+
+
+def within(count, expected):
+    """count is within five standard deviations of a binomial expectation."""
+    return abs(count - expected) <= 5 * math.sqrt(expected) + 1
+
+
+@pytest.mark.parametrize("cap", [N, 6, 0])
+def test_draw_sizes_uniform_and_members_uniform(cap):
+    masks = _subset_masks(np.random.default_rng(11), N, DRAWS, cap)
+    by_size = collections.defaultdict(list)
+    for m in masks:
+        assert 0 <= m < 1 << N
+        by_size[m.bit_count()].append(m)
+    assert sorted(by_size) == list(range(cap + 1))
+    for k, group in by_size.items():
+        assert within(len(group), DRAWS / (cap + 1)), (k, len(group))
+        for i in range(N):
+            assert within(sum(m >> i & 1 for m in group), len(group) * k / N), (k, i)
+
+
+def test_antitone_draws_are_subsets():
+    pairs = _sampled_pairs(np.random.default_rng(12), N, DRAWS)
+    assert all(s & ~t == 0 for s, t in pairs)
+    t_sizes = collections.Counter(t.bit_count() for _, t in pairs)
+    assert all(within(t_sizes[k], DRAWS / (N + 1)) for k in range(N + 1)), t_sizes
+    # Given |T|, the size of S is uniform on 0..|T|.
+    s_of_5 = collections.Counter(s.bit_count() for s, t in pairs if t.bit_count() == 5)
+    assert sorted(s_of_5) == list(range(6))
+    assert all(within(s_of_5[k], t_sizes[5] / 6) for k in range(6)), s_of_5
+
+
+def test_draws_repeat_with_the_seed():
+    draw = lambda seed: (
+        _subset_masks(np.random.default_rng(seed), N, 200, N),
+        _sampled_pairs(np.random.default_rng(seed), N, 200),
+    )
+    assert draw(5) == draw(5)
+    assert draw(5)[0] != draw(6)[0] and draw(5)[1] != draw(6)[1]

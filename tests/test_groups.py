@@ -321,6 +321,22 @@ class TestSubgroups:
                 ids = rng.sample(range(G.order), rng.randint(0, min(4, G.order)))
                 assert set(c.subgroup_generated_by(G, ids)) == naive_generated(G, ids)
 
+    @pytest.mark.parametrize("key", ["S4", "H3", "UT4_3"])
+    def test_matches_naive_closure_with_edge_inputs(self, key, order_fleet):
+        import random
+
+        G = order_fleet[key]
+        rng = random.Random(6)
+        drawn = [rng.sample(range(1, G.order), k) for k in (1, 2, 2, 3)]
+        cases = [[], [0], [0, 0, 0]] + drawn + [ids + ids[::-1] + [0] for ids in drawn[:2]]
+        for ids in cases:
+            H = c.subgroup_generated_by(G, ids)
+            assert isinstance(H, c.Subgroup) and H.universe_order == G.order
+            assert set(H) == naive_generated(G, ids), ids
+        for bad in (G.order, -1):
+            with pytest.raises(ValueError, match=f"element id {bad} out of range for universe of order {G.order}"):
+                c.subgroup_generated_by(G, [0, bad])
+
     def test_closure_operator_axioms_exhaustive(self, small_groups):
         from centra.sets import ids_from_mask
 

@@ -1,11 +1,15 @@
 import pytest
 
-from centra.sets import ElemSet, Subgroup, ids_from_mask, mask_from_ids
+from centra.sets import ElemSet, Subgroup, ids_from_mask
+from conftest import mask_from_ids
 
 
 def test_mask_roundtrip():
     ids = (0, 3, 5, 11)
-    assert ids_from_mask(mask_from_ids(ids)) == ids
+    s = ElemSet.from_ids(12, ids)
+    assert s.mask == 0b100000101001
+    assert ids_from_mask(s.mask) == ids
+    assert ElemSet.from_ids(12, ids_from_mask(s.mask)) == s
 
 
 def test_members_ascending():
