@@ -107,12 +107,6 @@ def z_star_partition(G: Group) -> tuple[CentClass, ...]:
 
 
 @per_group
-def _class_index(G: Group) -> dict[int, int]:
-    """Position in ``z_star_partition(G)`` of each element's class, by element id."""
-    return {m: i for i, cl in enumerate(z_star_partition(G)) for m in cl.members}
-
-
-@per_group
 def class_transversal(G: Group) -> ElemSet:
     """Default transversal of the Z*-partition: the minimal id of each class."""
     return ElemSet.from_ids(G.order, (c.representative for c in z_star_partition(G)))

@@ -538,66 +538,50 @@ def moebius_suite(G: Group, rng: random.Random, samples: int) -> list[PropertyRe
     return s.results
 
 
+def _degree_witness(graph, ok: Callable[[int, int], bool], show_degree=False) -> Optional[str]:
+    """The first vertex whose degree fails ``ok(vertex id, degree)``, as a witness."""
+    for v, lab, deg in zip(graph.vertex_ids, graph.labels, graph.degrees()):
+        if not ok(v, deg):
+            return f"vertex {lab}: degree {deg}" if show_degree else f"vertex {lab}"
+    return None
+
+
 def graphs_suite(G: Group, rng: random.Random, samples: int) -> list[PropertyResult]:
     s = _Suite("graphs")
     if G.is_abelian:
         s.skip("all", "abelian group: graphs have empty vertex sets")
         return s.results
-    zsize = len(G.center)
+    # The degree oracles count commuting partners from the table itself, never
+    # from the centralizer masks or the graphs under test: |C(v)| per element.
+    cent_sizes = (G.table == G.table.T).sum(axis=1).tolist()
+    zsize = cent_sizes.count(G.order)
     com = commuting_graph(G)
-
-    witness = None
-    for v, deg in zip(com.vertex_ids, com.degrees()):
-        if deg != G.cent_masks[v].bit_count() - zsize - 1:
-            witness = f"vertex {G.label(v)}"
-            break
+    witness = _degree_witness(com, lambda v, deg: deg == cent_sizes[v] - zsize - 1)
     s.record("commuting_degree_formula", witness, f"{com.vertex_count} vertices")
 
     pz = p_group_prime(zsize)
     if pz is not None:
-        witness = None
-        for v, deg in zip(com.vertex_ids, com.degrees()):
-            if deg % pz != (-1) % pz:
-                witness = f"vertex {G.label(v)}: degree {deg}"
-                break
+        witness = _degree_witness(com, lambda v, deg: deg % pz == (-1) % pz, show_degree=True)
         s.record("commuting_degrees_mod_p", witness, f"p={pz}")
     else:
         s.skip("commuting_degrees_mod_p", "Z(G) is not a nontrivial p-group")
 
+    transversal_law = lambda v, deg: deg == cent_sizes[v] // zsize - 2
     tg = transversal_graph(G)
-    witness = None
-    for v, deg in zip(tg.vertex_ids, tg.degrees()):
-        if deg != G.cent_masks[v].bit_count() // zsize - 2:
-            witness = f"vertex {G.label(v)}"
-            break
-    s.record("transversal_degree_formula", witness, f"{tg.vertex_count} vertices")
+    s.record("transversal_degree_formula", _degree_witness(tg, transversal_law),
+             f"{tg.vertex_count} vertices")
 
     # The degree formula holds for any transversal, not just the default one.
-    z_members = G.center.members
-    alt = []
-    seen = 0
-    for g in G.elements():
-        if (seen >> g) & 1:
-            continue
-        coset = [G.mul(g, zi) for zi in z_members]
-        alt.append(rng.choice(sorted(coset)))
-        for x in coset:
-            seen |= 1 << x
+    cosets: dict[int, list[int]] = {}  # by least member, each ascending
+    for g, least in enumerate(G.table[:, list(G.center.members)].min(axis=1).tolist()):
+        cosets.setdefault(least, []).append(g)
+    alt = [rng.choice(coset) for coset in cosets.values()]
     tg_alt = transversal_graph(G, alt)
-    witness = None
-    for v, deg in zip(tg_alt.vertex_ids, tg_alt.degrees()):
-        if deg != G.cent_masks[v].bit_count() // zsize - 2:
-            witness = f"vertex {G.label(v)}"
-            break
-    s.record("transversal_degree_formula_random_t", witness)
+    s.record("transversal_degree_formula_random_t", _degree_witness(tg_alt, transversal_law))
 
     pq = p_group_prime(G.order // zsize)
     if pq is not None:
-        witness = None
-        for v, deg in zip(tg.vertex_ids, tg.degrees()):
-            if deg % pq != (-2) % pq:
-                witness = f"vertex {G.label(v)}: degree {deg}"
-                break
+        witness = _degree_witness(tg, lambda v, deg: deg % pq == (-2) % pq, show_degree=True)
         s.record("transversal_degrees_mod_p", witness, f"p={pq}")
     else:
         s.skip("transversal_degrees_mod_p", "G/Z(G) is not a nontrivial p-group")
@@ -608,27 +592,18 @@ def graphs_suite(G: Group, rng: random.Random, samples: int) -> list[PropertyRes
     s.record("centralizer_graph_vertices", witness)
 
     # Adjacency agrees with the dual formulation on element centers.
-    witness = None
     cg_edges = set(cg.edges)
-    for i, a in enumerate(classes):
-        for j in range(i + 1, len(classes)):
-            b = classes[j]
-            edge = (i, j) in cg_edges
-            dual_rule = a.ecenter.mask & ~b.cent.mask == 0
-            if edge != dual_rule:
-                witness = f"pair {G.label(a.representative)},{G.label(b.representative)}"
-                break
-        if witness:
-            break
+    ecenters = [a.ecenter.mask for a in classes]
+    outside = [~b.cent.mask for b in classes]
+    bad = next(((i, j) for i, j in itertools.combinations(range(len(classes)), 2)
+                if ((i, j) in cg_edges) != (ecenters[i] & outside[j] == 0)), None)
+    reps = [G.label(c.representative) for c in classes]
+    witness = None if bad is None else f"pair {reps[bad[0]]},{reps[bad[1]]}"
     s.record("centralizer_graph_duality", witness)
 
     p = p_group_prime(G.order)
     if p is not None and is_f_group(G):
-        witness = None
-        for lab, deg in zip(cg.labels, cg.degrees()):
-            if deg % p:
-                witness = f"vertex {lab}: degree {deg}"
-                break
+        witness = _degree_witness(cg, lambda v, deg: deg % p == 0, show_degree=True)
         s.record("f_group_centralizer_degrees", witness, f"p={p}")
     else:
         s.skip("f_group_centralizer_degrees", "not an F-group p-group")

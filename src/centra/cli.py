@@ -16,6 +16,7 @@ from typing import Optional
 from .centralizers import z_star_partition
 from .checks import SUITES, run_suite
 from .graphs import (
+    _hasse_dot,
     centralizer_graph,
     commuting_graph,
     degree_csv,
@@ -252,21 +253,12 @@ def _lattice_dot_with_closure_arrows(G: Group) -> str:
     """DOT of the lattice plus every subgroup's one-step closure arrow."""
     lat = build_lattice(G)
     node_index = {n.mask: i for i, n in enumerate(lat.nodes)}
-    lines = ["digraph lattice {", "  rankdir=BT;", "  node [shape=box];"]
-    for i in range(len(lat.nodes)):
-        label = lat.node_label(i).replace('"', '\\"')
-        lines.append(f'  n{i} [label="{label}" style=bold];')
-    extras = [H for H in all_subgroups(G) if H.mask not in node_index]
-    for j, H in enumerate(extras):
-        label = subgroup_label(G, H).replace('"', '\\"')
-        lines.append(f'  s{j} [label="{label}"];')
-    for i, j in hasse_edges(lat):
-        lines.append(f"  n{i} -> n{j};")
-    for j, H in enumerate(extras):
-        target = node_index[closure(G, H).mask]
-        lines.append(f"  s{j} -> n{target} [style=dashed];")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    extras = [
+        (subgroup_label(G, H), node_index[closure(G, H).mask])
+        for H in all_subgroups(G)
+        if H.mask not in node_index
+    ]
+    return _hasse_dot("lattice", lat.labels, hasse_edges(lat), " style=bold", extras)
 
 
 def cmd_emit(args: argparse.Namespace) -> int:

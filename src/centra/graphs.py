@@ -1,17 +1,29 @@
-"""Commuting graph, transversal subgraph, centralizer graph; DOT and CSV output."""
+"""Commuting graph, transversal subgraph, centralizer graph; DOT and CSV output.
+
+Graphs hold one adjacency bitmask per vertex; edge lists are views derived from them.
+"""
 
 from __future__ import annotations
 
 import csv
 import io
 from dataclasses import dataclass
-from typing import Optional, Union
+from functools import reduce
+from typing import Iterable, Optional, Sequence, Union
 
-from .centralizers import _class_index, z_star_partition
+import numpy as np
+
+from .centralizers import z_star_partition
 from .groups import Group, InvariantViolation, SetLike, per_group, subgroup_label
 from .lattice import CenterPoset, CentLattice, hasse_edges
 from .moebius import MoebiusTable
-from .sets import ElemSet
+from .sets import ElemSet, ids_from_mask
+
+# export_dot walks the set bits in Python for graphs under EDGE_WALK_BITS mask
+# bits (vertices x mask width), where numpy's fixed cost per call dominates;
+# larger graphs unpack their masks with numpy, EDGE_BLOCK_BITS bits at a time.
+EDGE_WALK_BITS = 1 << 14
+EDGE_BLOCK_BITS = 1 << 20
 
 
 class AbelianGroupError(ValueError):
@@ -20,17 +32,18 @@ class AbelianGroupError(ValueError):
 
 @dataclass(frozen=True)
 class GroupGraph:
-    """Simple undirected graph on group data.
+    """Simple undirected graph on group data, held as adjacency bitmasks.
 
-    ``vertex_ids`` are element ids for the commuting/transversal kinds and
-    Z*-class representatives for the centralizer kind.  Edges are index
-    pairs (i, j), i < j, in sorted order.
+    ``vertex_ids`` are ascending element ids: non-central elements, or Z*-class
+    representatives for the centralizer kind.  ``adjacency[i]`` has bit ``g``
+    set for each neighbour ``g`` of vertex ``i``.  ``edges``, derived per call,
+    lists the vertex-index pairs (i, j), i < j, in sorted order.
     """
 
     kind: str
     vertex_ids: tuple[int, ...]
     labels: tuple[str, ...]
-    edges: tuple[tuple[int, int], ...]
+    adjacency: tuple[int, ...]
 
     @property
     def vertex_count(self) -> int:
@@ -38,40 +51,38 @@ class GroupGraph:
 
     @property
     def edge_count(self) -> int:
-        return len(self.edges)
+        return sum(self.degrees()) // 2
 
     def degrees(self) -> tuple[int, ...]:
-        deg = [0] * len(self.vertex_ids)
-        for i, j in self.edges:
-            deg[i] += 1
-            deg[j] += 1
-        return tuple(deg)
+        return tuple(m.bit_count() for m in self.adjacency)
+
+    @property
+    def edges(self) -> tuple[tuple[int, int], ...]:
+        pos = {v: i for i, v in enumerate(self.vertex_ids)}
+        pairs = []
+        for i, (v, m) in enumerate(zip(self.vertex_ids, self.adjacency)):
+            m >>= v + 1  # the neighbours above v, as a walk over the set bits
+            while m:
+                low = m & -m
+                pairs.append((i, pos[v + low.bit_length()]))
+                m ^= low
+        return tuple(pairs)
 
 
 def _require_nonabelian(G: Group, kind: str) -> None:
     if G.is_abelian:
-        raise AbelianGroupError(
-            f"{G.name} is abelian: the {kind} graph has an empty vertex set"
-        )
+        raise AbelianGroupError(f"{G.name} is abelian: the {kind} graph has an empty vertex set")
 
 
-def _commuting_subgraph(G: Group, kind: str, ids) -> GroupGraph:
-    """The commuting graph induced on the non-central members of ``ids``."""
-    zmask = G.center.mask
-    verts = [g for g in ids if not (zmask >> g) & 1]
-    pos = {g: i for i, g in enumerate(verts)}
-    cms = G.cent_masks
-    edges = []
-    for i, g in enumerate(verts):
-        m = cms[g]
-        for h in verts[i + 1 :]:
-            if (m >> h) & 1:
-                edges.append((i, pos[h]))
+def _commuting_subgraph(G: Group, kind: str, vmask: int) -> GroupGraph:
+    """The commuting graph induced on the non-central members of ``vmask``."""
+    vmask &= ~G.center.mask
+    verts = ids_from_mask(vmask)
     return GroupGraph(
         kind=kind,
-        vertex_ids=tuple(verts),
+        vertex_ids=verts,
         labels=tuple(G.label(g) for g in verts),
-        edges=tuple(sorted(edges)),
+        adjacency=tuple(G.cent_masks[g] & vmask & ~(1 << g) for g in verts),
     )
 
 
@@ -79,44 +90,29 @@ def _commuting_subgraph(G: Group, kind: str, ids) -> GroupGraph:
 def commuting_graph(G: Group) -> GroupGraph:
     """Vertices are the non-central elements; edges join commuting pairs."""
     _require_nonabelian(G, "commuting")
-    return _commuting_subgraph(G, "commuting", G.elements())
+    return _commuting_subgraph(G, "commuting", G.full_mask)
+
+
+def _coset_minima(G: Group) -> list[int]:
+    """The least element of the coset g Z(G), for each element id g."""
+    return reduce(np.minimum, (G.table[:, z] for z in G.center.members)).tolist()
 
 
 def default_transversal(G: Group) -> ElemSet:
     """Minimal element id from each coset of Z(G)."""
-    z = G.center.members
-    table = G.table
-    seen = 0
-    reps = []
-    for g in G.elements():
-        if (seen >> g) & 1:
-            continue
-        reps.append(g)
-        row = table[g]
-        for zi in z:
-            seen |= 1 << int(row[zi])
-    return ElemSet.from_ids(G.order, reps)
+    return ElemSet.from_ids(G.order, set(_coset_minima(G)))
 
 
 def _validate_transversal(G: Group, T: ElemSet) -> None:
-    z = G.center.members
-    n_cosets = G.order // len(z)
+    n_cosets = G.order // len(G.center)
     if len(T) != n_cosets:
-        raise ValueError(
-            f"transversal has {len(T)} elements; expected |G:Z(G)| = {n_cosets}"
-        )
-    table = G.table
-    seen = 0
+        raise ValueError(f"transversal has {len(T)} elements; expected |G:Z(G)| = {n_cosets}")
+    coset_min = _coset_minima(G)
+    seen = set()  # |T| distinct cosets are all of them
     for t in T:
-        coset = 0
-        row = table[t]
-        for zi in z:
-            coset |= 1 << int(row[zi])
-        if seen & coset:
+        if coset_min[t] in seen:
             raise ValueError(f"element {t} duplicates a coset already represented")
-        seen |= coset
-    if seen != G.full_mask:
-        raise ValueError("transversal does not cover every coset of Z(G)")
+        seen.add(coset_min[t])
 
 
 def transversal_graph(G: Group, T: Optional[SetLike] = None) -> GroupGraph:
@@ -125,12 +121,12 @@ def transversal_graph(G: Group, T: Optional[SetLike] = None) -> GroupGraph:
     The default transversal takes the minimal id in each coset; its graph is
     built once per group.  A supplied transversal is validated.
     """
+    _require_nonabelian(G, "transversal")
     if T is None:
         return _default_transversal_graph(G)
-    _require_nonabelian(G, "transversal")
     T = G.elem_set(T)
     _validate_transversal(G, T)
-    return _commuting_subgraph(G, "transversal", T)
+    return _commuting_subgraph(G, "transversal", T.mask)
 
 
 @per_group
@@ -146,46 +142,50 @@ def centralizer_graph(G: Group) -> GroupGraph:
     per pair."""
     _require_nonabelian(G, "centralizer")
     classes = [c for c in z_star_partition(G) if c.cent.mask != G.full_mask]
-    edges = []
-    for i, a in enumerate(classes):
+    reps = [c.representative for c in classes]
+    ecenters = [c.ecenter.mask for c in classes]
+    outside = [~c.cent.mask for c in classes]  # complements of the centralizers
+    adjacency = [0] * len(classes)
+    for i, (ei, oi) in enumerate(zip(ecenters, outside)):
         for j in range(i + 1, len(classes)):
-            b = classes[j]
-            fwd = b.ecenter.mask & ~a.cent.mask == 0
-            bwd = a.ecenter.mask & ~b.cent.mask == 0
-            if fwd != bwd:
+            fwd = ecenters[j] & oi == 0
+            if fwd != (ei & outside[j] == 0):
                 raise InvariantViolation(
                     "centralizer-graph adjacency is not symmetric "
-                    f"between classes of {G.label(a.representative)} and "
-                    f"{G.label(b.representative)}"
+                    f"between classes of {G.label(reps[i])} and {G.label(reps[j])}"
                 )
             if fwd:
-                edges.append((i, j))
+                adjacency[i] |= 1 << reps[j]
+                adjacency[j] |= 1 << reps[i]
     return GroupGraph(
         kind="centralizer",
-        vertex_ids=tuple(c.representative for c in classes),
+        vertex_ids=tuple(reps),
         labels=tuple(subgroup_label(G, c.ecenter) for c in classes),
-        edges=tuple(sorted(edges)),
+        adjacency=tuple(adjacency),
     )
 
 
 @per_group
 def quotient_consistency(G: Group) -> bool:
-    """Compare the centralizer graph with the commuting graph modulo ~.
-
-    Quotient classes are adjacent when some cross pair commutes; the edge
-    sets are computed independently and compared, once per group.
-    """
+    """Compare the centralizer graph with the commuting graph modulo ~, once
+    per group: two classes are adjacent in the quotient when the OR of one's
+    members' commuting adjacency masks meets the other."""
     _require_nonabelian(G, "quotient")
-    class_of = _class_index(G)
+    classes = z_star_partition(G)
+    class_of = {g: k for k, c in enumerate(classes) for g in c.members}
     com = commuting_graph(G)
+    met = [0] * len(classes)
+    for v, m in zip(com.vertex_ids, com.adjacency):
+        met[class_of[v]] |= m
     quotient_edges = set()
-    for i, j in com.edges:
-        ci = class_of[com.vertex_ids[i]]
-        cj = class_of[com.vertex_ids[j]]
-        if ci != cj:
-            quotient_edges.add((min(ci, cj), max(ci, cj)))
     # Class 0 is the central class (it holds the identity); the centralizer
     # graph's vertices are the other classes, in partition order.
+    for k, m in enumerate(met):
+        while m:
+            j = class_of[(m & -m).bit_length() - 1]
+            if j != k:
+                quotient_edges.add((min(j, k), max(j, k)))
+            m &= ~classes[j].members.mask
     return quotient_edges == {(i + 1, j + 1) for i, j in centralizer_graph(G).edges}
 
 
@@ -197,15 +197,58 @@ def _dot_quote(s: str) -> str:
     return '"' + s.replace('"', '\\"') + '"'
 
 
-def export_dot(
-    obj: Union[GroupGraph, CentLattice, CenterPoset],
-    mu: Optional[MoebiusTable] = None,
-) -> str:
+def _hasse_dot(graph_name: str, labels: Iterable[str], covers: Iterable[tuple[int, int]],
+               node_attrs: str = "", extras: Sequence[tuple[str, int]] = ()) -> str:
+    """A bottom-up Hasse ``digraph``: nodes ``n{i}`` with their cover arrows,
+    plus each ``(label, target)`` of ``extras`` as a node ``s{j}`` with a
+    dashed arrow into ``n{target}``."""
+    lines = [f"digraph {graph_name} {{", "  rankdir=BT;", "  node [shape=box];"]
+    for i, lab in enumerate(labels):
+        lines.append(f"  n{i} [label={_dot_quote(lab)}{node_attrs}];")
+    for j, (lab, _) in enumerate(extras):
+        lines.append(f"  s{j} [label={_dot_quote(lab)}];")
+    for i, j in covers:
+        lines.append(f"  n{i} -> n{j};")
+    for j, (_, target) in enumerate(extras):
+        lines.append(f"  s{j} -> n{target} [style=dashed];")
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
+def _edge_lines_numpy(graph: GroupGraph) -> str:
+    """The edge lines of a graph with edges, joined by newlines: per block of
+    masks, the set bits of their nonzero bytes, each edge as four pieces from
+    object arrays of index strings (``;`` closes a line with the next's head)."""
+    vids = np.array(graph.vertex_ids)
+    nbytes = graph.vertex_ids[-1] // 8 + 1  # bytes per mask
+    name_of = np.empty(8 * nbytes, dtype=object)  # index strings, by element id
+    name_of[vids] = [str(i) for i in range(len(vids))]
+    chunks = []
+    step = max(1, EDGE_BLOCK_BITS // (8 * nbytes))
+    for a in range(0, len(vids), step):
+        block = b"".join(m.to_bytes(nbytes, "little") for m in graph.adjacency[a : a + step])
+        packed = np.frombuffer(block, dtype=np.uint8)
+        nonzero = np.flatnonzero(packed != 0)
+        k = np.flatnonzero(np.unpackbits(packed[nonzero], bitorder="little").view(np.bool_))
+        rows, g = np.divmod(8 * (nbytes * a + nonzero[k >> 3]) + (k & 7), 8 * nbytes)
+        upper = g > vids[rows]  # each edge once, from its lower end
+        parts = np.empty(4 * np.count_nonzero(upper), dtype=object)
+        parts[0::4] = ";\n  v"
+        parts[1::4] = name_of[vids[rows[upper]]]
+        parts[2::4] = " -- v"
+        parts[3::4] = name_of[g[upper]]
+        chunks.append("".join(parts.tolist()))
+    return "".join(chunks)[2:] + ";"
+
+
+def export_dot(obj: Union[GroupGraph, CentLattice, CenterPoset],
+               mu: Optional[MoebiusTable] = None) -> str:
     """Deterministic DOT text.
 
-    Group graphs come out as undirected ``graph`` blocks; lattices and posets
-    as bottom-up Hasse ``digraph`` blocks.  Möbius values label poset nodes
-    when a table is supplied.
+    Group graphs come out as undirected ``graph`` blocks, their edge lines
+    written from the adjacency masks; lattices and posets as bottom-up Hasse
+    ``digraph`` blocks.  Möbius values label poset nodes when a table is
+    supplied.
     """
     if isinstance(obj, GroupGraph):
         if mu is not None:
@@ -213,30 +256,26 @@ def export_dot(
         lines = [f"graph {obj.kind} {{"]
         for i, lab in enumerate(obj.labels):
             lines.append(f"  v{i} [label={_dot_quote(lab)}];")
-        for i, j in obj.edges:
-            lines.append(f"  v{i} -- v{j};")
+        if any(obj.adjacency):
+            if obj.vertex_count * (obj.vertex_ids[-1] + 1) < EDGE_WALK_BITS:
+                for i, j in obj.edges:
+                    lines.append(f"  v{i} -- v{j};")
+            else:
+                lines.append(_edge_lines_numpy(obj))
         lines.append("}")
         return "\n".join(lines) + "\n"
     if isinstance(obj, CentLattice):
         if mu is not None:
             raise ValueError("Möbius labels apply to a CenterPoset, not a lattice")
-        graph_name = "lattice"
-    elif isinstance(obj, CenterPoset):
+        return _hasse_dot("lattice", obj.labels, hasse_edges(obj))
+    if isinstance(obj, CenterPoset):
         if mu is not None and mu.poset is not obj:
             raise ValueError("Möbius table was computed for a different poset")
-        graph_name = "center_poset"
-    else:
-        raise TypeError(f"cannot export {type(obj).__name__} as DOT")
-    lines = [f"digraph {graph_name} {{", "  rankdir=BT;", "  node [shape=box];"]
-    for i in range(len(obj.nodes)):
-        lab = obj.node_label(i)
+        labels = obj.labels
         if mu is not None:
-            lab = f"{lab}\\nmu={mu.mu[i]}"
-        lines.append(f"  n{i} [label={_dot_quote(lab)}];")
-    for i, j in hasse_edges(obj):
-        lines.append(f"  n{i} -> n{j};")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+            labels = [f"{lab}\\nmu={m}" for lab, m in zip(labels, mu.mu)]
+        return _hasse_dot("center_poset", labels, hasse_edges(obj))
+    raise TypeError(f"cannot export {type(obj).__name__} as DOT")
 
 
 def degree_csv(graph: GroupGraph, p: Optional[int] = None) -> str:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import csv
+import io
 import itertools
 import os
 from pathlib import Path
@@ -139,6 +141,78 @@ def former_transversal_error(G, X):
 
 def commutes(G, x, y):
     return G.mul(x, y) == G.mul(y, x)
+
+
+def naive_graph_edges(G, ids):
+    """(vertex ids, edges) of the commuting graph induced on the non-central
+    members of ``ids``: the former pair loop, one commutation test per vertex
+    pair, read from the table.  Edges are sorted index pairs (i, j), i < j."""
+    comm = (G.table == G.table.T).tolist()
+    verts = [g for g in sorted(ids) if not all(comm[g])]
+    edges = [
+        (i, j)
+        for i, g in enumerate(verts)
+        for j in range(i + 1, len(verts))
+        if comm[g][verts[j]]
+    ]
+    return tuple(verts), tuple(edges)
+
+
+def naive_centralizer_graph_edges(G):
+    """(class representatives, edges) of the centralizer graph by its rule:
+    proper classes a, b are adjacent when Z(b) lies in C(a)."""
+    classes = [cl for cl in c.z_star_partition(G) if cl.cent.mask != G.full_mask]
+    edges = [
+        (i, j)
+        for i, a in enumerate(classes)
+        for j in range(i + 1, len(classes))
+        if classes[j].ecenter.issubset(a.cent)
+    ]
+    return tuple(cl.representative for cl in classes), tuple(edges)
+
+
+def naive_degrees(vertex_count, edges):
+    """Vertex degrees by a scan of the edge list."""
+    deg = [0] * vertex_count
+    for i, j in edges:
+        deg[i] += 1
+        deg[j] += 1
+    return tuple(deg)
+
+
+def former_graph_dot(kind, labels, edges):
+    """The former DOT writer of a group graph: one line per node and per edge."""
+    lines = [f"graph {kind} {{"]
+    for i, lab in enumerate(labels):
+        quoted = lab.replace('"', '\\"')
+        lines.append(f'  v{i} [label="{quoted}"];')
+    for i, j in edges:
+        lines.append(f"  v{i} -- v{j};")
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
+def naive_degree_csv(labels, degrees, p=None):
+    """``vertex,degree,residue_mod_p`` rows, written by the csv module."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["vertex", "degree", "residue_mod_p"])
+    for label, deg in zip(labels, degrees):
+        writer.writerow([label, deg, deg % p if p is not None else ""])
+    return buf.getvalue()
+
+
+def former_quotient_consistency(G):
+    """The former edge walk: map every commuting edge to its pair of classes,
+    then compare with the centralizer graph's edges (class 0 is central)."""
+    class_of = {m: i for i, cl in enumerate(c.z_star_partition(G)) for m in cl.members}
+    verts, edges = naive_graph_edges(G, G.elements())
+    quotient = set()
+    for i, j in edges:
+        ci, cj = class_of[verts[i]], class_of[verts[j]]
+        if ci != cj:
+            quotient.add((min(ci, cj), max(ci, cj)))
+    return quotient == {(i + 1, j + 1) for i, j in c.centralizer_graph(G).edges}
 
 
 def label_set(G, S):

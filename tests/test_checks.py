@@ -1,6 +1,8 @@
 """The property suites themselves: pinned output, and failures on a broken kernel."""
 
 import collections
+import dataclasses
+import itertools
 import math
 from functools import cached_property
 
@@ -8,6 +10,7 @@ import numpy as np
 import pytest
 
 import centra as c
+from centra import checks
 from centra.checks import _sampled_pairs, _subset_masks, run_suite
 from centra.cli import build_report
 
@@ -160,3 +163,23 @@ def test_draws_repeat_with_the_seed():
     )
     assert draw(5) == draw(5)
     assert draw(5)[0] != draw(6)[0] and draw(5)[1] != draw(6)[1]
+
+
+@pytest.mark.parametrize("key", ["D8", "Q8", "S4"])
+def test_commuting_degree_oracle_catches_each_toggled_pair(request, monkeypatch, key):
+    # The oracle counts partners from the table, so a commuting graph with any
+    # one vertex pair toggled (both directions) fails with a witness.
+    G = request.getfixturevalue(key.lower())
+    true = c.commuting_graph(G)
+    vids = true.vertex_ids
+    pairs = list(itertools.combinations(range(true.vertex_count), 2))
+    for i, j in pairs:
+        adjacency = list(true.adjacency)
+        adjacency[i] ^= 1 << vids[j]
+        adjacency[j] ^= 1 << vids[i]
+        corrupted = dataclasses.replace(true, adjacency=tuple(adjacency))
+        monkeypatch.setattr(checks, "commuting_graph", lambda G, graph=corrupted: graph)
+        results = {r.name: r for r in run_suite(G, "graphs")}
+        law = results["graphs/commuting_degree_formula"]
+        assert law.failed and law.witness, (G.label(vids[i]), G.label(vids[j]))
+    assert len(pairs) == {"D8": 15, "Q8": 15, "S4": 253}[key]

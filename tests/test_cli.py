@@ -1,5 +1,6 @@
 """End-to-end CLI tests via subprocess: real exit codes, real bytes."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -174,6 +175,16 @@ class TestEmit:
         assert text.count("style=bold") == 5
         assert text.count("style=dashed") == 5
         assert '"<b>"' in text and '"1"' in text
+
+    @pytest.mark.parametrize("builtin, sha256", [
+        ("dihedral:8", "8e9a59642196b00c57358a54f2e22f26eee25b4b595674f678496e30a40b9d90"),
+        ("symmetric:4", "47a73d6d025278f6b74ffaf787912391685c8f539e9c520bab44ef7e6df03c5b"),
+    ])
+    def test_lattice_dot_closure_arrows_golden(self, tmp_path, builtin, sha256):
+        out = tmp_path / "lattice.dot"
+        res = run_cli("emit", "--builtin", builtin, "lattice-dot", str(out), "--closure-arrows")
+        assert res.returncode == 0, res.stderr
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256
 
     def test_commuting_dot_s3(self, tmp_path):
         out = tmp_path / "s3.dot"

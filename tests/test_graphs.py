@@ -1,8 +1,26 @@
+import tracemalloc
+
 import pytest
 
 import centra as c
-from conftest import by_label, commutes, label_set
+from centra import graphs
 from centra.moebius import p_group_prime
+from conftest import (
+    ORDER_FLEET,
+    by_label,
+    commutes,
+    former_graph_dot,
+    former_quotient_consistency,
+    label_set,
+    naive_centralizer_graph_edges,
+    naive_degree_csv,
+    naive_degrees,
+    naive_graph_edges,
+)
+
+# What commuting_graph(H3xH3) keeps allocated: about 105 KB of adjacency masks
+# and id tuples, where a tuple of its 37 224 edges held 2.4 MB.
+HELD_BYTES_BOUND = 512 * 1024
 
 
 class TestCommutingGraph:
@@ -190,7 +208,7 @@ class TestQuotientConsistency:
 
 class TestDotExport:
     def test_empty_graph(self, s3):
-        g = c.GroupGraph(kind="commuting", vertex_ids=(), labels=(), edges=())
+        g = c.GroupGraph(kind="commuting", vertex_ids=(), labels=(), adjacency=())
         text = c.export_dot(g)
         assert text == "graph commuting {\n}\n"
 
@@ -262,3 +280,75 @@ class TestDegreeCsv:
     def test_labels_with_commas_are_quoted(self, s4):
         text = c.degree_csv(c.commuting_graph(s4))
         assert '"(1,2)(3,4)"' in text
+
+
+def largest_transversal(G):
+    """The largest id in each coset of Z(G)."""
+    z = list(G.center)
+    return sorted({max(G.mul(g, x) for x in z) for g in G.elements()})
+
+
+@pytest.fixture(scope="module")
+def graph_groups(order_fleet, d8, s3):
+    return {**order_fleet, "D8": d8, "S3": s3}
+
+
+class TestMaskGraphsAgainstOracle:
+    """Mask-held graphs against the former pair loop, edge scans and writers."""
+
+    @pytest.mark.parametrize("key", ORDER_FLEET + ("D8", "S3"))
+    def test_views_and_artifacts(self, graph_groups, key):
+        G = graph_groups[key]
+        p = p_group_prime(G.order)
+        largest = largest_transversal(G)
+        cases = [
+            (c.commuting_graph(G), naive_graph_edges(G, G.elements())),
+            (c.transversal_graph(G), naive_graph_edges(G, c.default_transversal(G))),
+            (c.transversal_graph(G, largest), naive_graph_edges(G, largest)),
+            (c.centralizer_graph(G), naive_centralizer_graph_edges(G)),
+        ]
+        for graph, (verts, edges) in cases:
+            degrees = naive_degrees(len(verts), edges)
+            # Compared as booleans: pytest's diff of values this long takes minutes.
+            same = {
+                "vertices": graph.vertex_ids == verts,
+                "edges": graph.edges == edges,
+                "edge_count": graph.edge_count == len(edges),
+                "degrees": graph.degrees() == degrees,
+                "dot": c.export_dot(graph) == former_graph_dot(graph.kind, graph.labels, edges),
+                "csv": c.degree_csv(graph, p) == naive_degree_csv(graph.labels, degrees, p),
+            }
+            assert all(same.values()), (graph.kind, same)
+
+    @pytest.mark.parametrize("key", ORDER_FLEET + ("D8", "S3"))
+    def test_quotient_matches_former_edge_walk(self, graph_groups, key):
+        G = graph_groups[key]
+        assert c.quotient_consistency(G) is former_quotient_consistency(G) is True
+
+    @pytest.mark.parametrize("walk_bits, block_bits", [(0, 64), (0, 1 << 12), (1 << 40, 1 << 20)])
+    def test_both_dot_edge_writers_agree(self, graph_groups, monkeypatch, walk_bits, block_bits):
+        # Every graph's edge lines through numpy (one mask per block, or
+        # several), or every graph's through the Python walk.
+        monkeypatch.setattr(graphs, "EDGE_WALK_BITS", walk_bits)
+        monkeypatch.setattr(graphs, "EDGE_BLOCK_BITS", block_bits)
+        for key in ("S3", "D8", "Q8", "S4", "H3", "D16"):
+            G = graph_groups[key]
+            for graph, (_, edges) in (
+                (c.commuting_graph(G), naive_graph_edges(G, G.elements())),
+                (c.centralizer_graph(G), naive_centralizer_graph_edges(G)),
+            ):
+                same_dot = c.export_dot(graph) == former_graph_dot(graph.kind, graph.labels, edges)
+                assert same_dot, (key, graph.kind)
+
+    def test_commuting_graph_holds_no_per_edge_objects(self, h3):
+        G = c.direct_product(h3, h3)  # 720 vertices, 37 224 edges
+        assert not G.is_abelian and G.labels and G.cent_masks  # built before measuring
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            graph = c.commuting_graph(G)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert graph.edge_count == 37224
+        assert held < HELD_BYTES_BOUND, held
