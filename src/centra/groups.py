@@ -23,7 +23,7 @@ from typing import Callable, Iterable, Optional, Sequence, TypeVar, Union
 import numpy as np
 
 from .perm import Permutation, cycle_strings, parse_cycle_notation
-from .sets import ElemSet, Subgroup, ids_from_mask
+from .sets import ElemSet, Subgroup
 
 DEFAULT_MAX_ORDER = 10**6
 MAX_ORDER_ENV = "CENTRA_MAX_ORDER"
@@ -202,29 +202,68 @@ def per_group(fn: Callable[[Group], T]) -> Callable[[Group], T]:
     return memoised
 
 
+@per_group
+def element_orders(G: Group) -> tuple[int, ...]:
+    """Order of every element, by one power iteration over the table: each
+    step multiplies only the powers not yet at the identity."""
+    order = np.ones(G.order, dtype=np.intp)
+    ids = np.arange(1, G.order)
+    power = ids
+    k = 1
+    while ids.size:
+        k += 1
+        power = G.table[power, ids]
+        done = power == 0
+        order[ids[done]] = k
+        ids, power = ids[~done], power[~done]
+    return tuple(order.tolist())
+
+
 # -- subgroup machinery ----------------------------------------------------
 
 
+def _adjoin(item: Callable[[int, int], int], elements: list[int], reached: bytearray, gens: list[int], g: int) -> None:
+    """One step of Dimino's coset enumeration: grow the subgroup H listed in
+    ``elements`` and marked in ``reached``, generated by ``gens``, to <H, g>
+    for an element ``g`` not yet reached.
+
+    <H, g> is the union of the right cosets H*r, for r = g and every r reached
+    from g by right multiplication with the generators, g included.  A coset
+    is listed as soon as its representative is found, so every element
+    outside the listed cosets starts a new, disjoint one: each new element
+    costs one product, and only the products r*s of representatives are
+    tested for membership.
+    """
+    H = elements[:]
+    gens.append(g)
+    reps = [0]  # H*1 = H; its products 1*s reach g first
+    for r in reps:  # grows while it is walked
+        for s in gens:
+            y = item(r, s)
+            if not reached[y]:
+                for h in H:  # the coset H*y
+                    x = item(h, y)
+                    reached[x] = 1
+                    elements.append(x)
+                reps.append(y)
+
+
 def subgroup_generated_by(G: Group, S: SetLike) -> Subgroup:
-    """Smallest subgroup containing ``S``; the empty set generates {identity}."""
+    """Smallest subgroup containing ``S``; the empty set generates {identity}.
+
+    Dimino's algorithm (Butler, *Fundamental Algorithms for Permutation
+    Groups*, 1991, ch. 6): the members of ``S`` are adjoined one at a time
+    by ``_adjoin``, skipping those already reached, and the bitmask is built
+    once from the membership array at the end.
+    """
     item = G.table.item
-    mask = 1
-    queue = [0]
+    elements, reached, gens = [0], bytearray(G.order), []
+    reached[0] = 1
     for s in G.set_ids(S):
-        if not (mask >> s) & 1:
-            mask |= 1 << s
-            queue.append(s)
-    gens = list(queue[1:])
-    i = 0
-    while i < len(queue):
-        x = queue[i]
-        i += 1
-        for g in gens:
-            y = item(x, g)
-            if not (mask >> y) & 1:
-                mask |= 1 << y
-                queue.append(y)
-    return Subgroup(G.order, mask)
+        if not reached[s]:
+            _adjoin(item, elements, reached, gens, s)
+    digits = reached[::-1].translate(bytes.maketrans(b"\0\1", b"01"))  # highest id first
+    return Subgroup(G.order, int(digits, 2))
 
 
 def is_subgroup(G: Group, S: SetLike) -> bool:
@@ -250,26 +289,41 @@ def _cyclic_mask(G: Group, g: int) -> int:
 
 def subgroup_label(G: Group, H: SetLike) -> str:
     """Display label for a subgroup: the group name for G itself, ``1`` for the
-    trivial subgroup, else ``<gens>`` from a deterministic generating set."""
+    trivial subgroup, else ``<gens>`` from a deterministic generating set.
+
+    A cyclic subgroup of order at most 729 is labelled by its least
+    generator.  Otherwise the generators are chosen greedily: each is the
+    least member of H not yet reached, adjoined to one growing closure
+    (``_adjoin``) until all of H is reached.
+    """
     H = G.elem_set(H)
     if H.mask == G.full_mask:
         return G.name
-    nontrivial = [m for m in H.members if m != 0]
+    members = H.members
+    nontrivial = [m for m in members if m != 0]
     if not nontrivial:
         return G.label(0)
-    if len(H) <= 729:
+    size = len(members)
+    if size <= 729:
+        orders = element_orders(G)
         for m in nontrivial:
-            if _cyclic_mask(G, m) == H.mask:
+            if orders[m] == size and _cyclic_mask(G, m) == H.mask:
                 return f"<{G.label(m)}>"
-    gens: list[int] = []
-    cur = 1
-    while cur != H.mask:
-        m = ids_from_mask(H.mask & ~cur)[0]
-        gens.append(m)
-        cur = subgroup_generated_by(G, gens).mask
-        if cur & ~H.mask:
+    item = G.table.item
+    inside = bytearray(G.order)
+    for m in members:
+        inside[m] = 1
+    elements, reached, gens = [0], bytearray(G.order), []
+    reached[0] = 1
+    unreached = (m for m in members if not reached[m])
+    checked = 0  # elements[:checked] lie in H
+    while True:
+        if not all(map(inside.__getitem__, elements[checked:])):
             raise InvariantViolation("generator fell outside the subgroup")
-    return "<" + ",".join(G.label(g) for g in gens) + ">"
+        checked = len(elements)
+        if checked == size:
+            return "<" + ",".join(G.label(g) for g in gens) + ">"
+        _adjoin(item, elements, reached, gens, next(unreached))
 
 
 # -- constructors ------------------------------------------------------------

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import centra as c
+from centra.sets import ids_from_mask
 
 # -- naive oracles (definition-level, no bitmask shortcuts) -------------------
 
@@ -34,16 +35,55 @@ def naive_closure(G, ids):
 
 
 def naive_generated(G, ids):
-    """Closure under all pairwise products, iterated to a fixed point."""
+    """Closure under all pairwise products, iterated to a fixed point; each
+    round reads the products of every pair of members from the table."""
     cur = {0} | set(ids)
     while True:
-        nxt = set(cur)
-        for a in cur:
-            for b in cur:
-                nxt.add(G.mul(a, b))
+        members = sorted(cur)
+        nxt = cur | set(np.unique(G.table[np.ix_(members, members)]).tolist())
         if nxt == cur:
             return cur
         cur = nxt
+
+
+def former_generated_mask(G, ids):
+    """Subgroup generated by ``ids`` as a bitmask, by the former breadth-first
+    search: every reached element times every generator."""
+    mask, queue = 1, [0]
+    for s in ids:
+        if not (mask >> s) & 1:
+            mask |= 1 << s
+            queue.append(s)
+    gens = queue[1:]
+    for x in queue:  # grows while it is walked
+        for g in gens:
+            y = G.mul(x, g)
+            if not (mask >> y) & 1:
+                mask |= 1 << y
+                queue.append(y)
+    return mask
+
+
+def former_subgroup_label(G, H):
+    """``subgroup_label`` as it was before generating sets grew one closure:
+    a cyclic scan over every member, then greedy generators, each prefix
+    closed from scratch."""
+    if H.mask == G.full_mask:
+        return G.name
+    nontrivial = [m for m in H.members if m != 0]
+    if not nontrivial:
+        return G.label(0)
+    if len(H) <= 729:
+        for m in nontrivial:
+            if former_generated_mask(G, [m]) == H.mask:
+                return f"<{G.label(m)}>"
+    gens, cur = [], 1
+    while cur != H.mask:
+        gens.append(ids_from_mask(H.mask & ~cur)[0])
+        cur = former_generated_mask(G, gens)
+        if cur & ~H.mask:
+            raise c.InvariantViolation("generator fell outside the subgroup")
+    return "<" + ",".join(G.label(g) for g in gens) + ">"
 
 
 def mask_from_ids(ids):
@@ -371,6 +411,12 @@ def s4():
 @pytest.fixture(scope="session")
 def h3():
     return c.builtin_group("heisenberg", 3)
+
+
+@pytest.fixture(scope="session")
+def ut43xc3():
+    """UT(4,3) x C3, order 3^7: the largest group the tests build."""
+    return c.direct_product(unitriangular4(3), c.builtin_group("cyclic", 3))
 
 
 @pytest.fixture(scope="session")

@@ -96,10 +96,8 @@ class TestConcurrentReads:
 
 
 @pytest.fixture(scope="module")
-def big():
-    from conftest import unitriangular4
-
-    return c.direct_product(unitriangular4(3), c.builtin_group("cyclic", 3))
+def big(ut43xc3):
+    return ut43xc3
 
 
 class TestOrder2187Scale:

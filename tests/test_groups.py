@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 import centra as c
-from conftest import by_label, label_set, naive_center, naive_generated
+from centra.groups import element_orders
+from conftest import by_label, former_subgroup_label, label_set, naive_center, naive_generated
 
 # Found by backtracking over latin squares with identity row/column and paired
 # inverses; frozen here.  Structural preconditions are re-asserted below so the
@@ -337,6 +338,23 @@ class TestSubgroups:
             with pytest.raises(ValueError, match=f"element id {bad} out of range for universe of order {G.order}"):
                 c.subgroup_generated_by(G, [0, bad])
 
+    @pytest.mark.parametrize("key", ["S6", "UT4_3xC3"])
+    def test_matches_naive_oracle_at_scale(self, key, order_fleet, ut43xc3):
+        import random
+
+        G = ut43xc3 if key == "UT4_3xC3" else order_fleet[key]
+        rng = random.Random(8)
+        drawn = [rng.sample(range(1, G.order), k) for k in range(1, 7)]
+        whole = drawn[-1]
+        assert naive_generated(G, whole) == set(G.elements())
+        edge = [ids + [0] + ids[::-1] + ids for ids in drawn[1:4]] + [[0, 0], sorted(whole, reverse=True)]
+        for ids in drawn + edge:
+            assert set(c.subgroup_generated_by(G, ids)) == naive_generated(G, ids), ids
+
+    def test_element_orders_match_element_order(self, order_fleet):
+        for G in order_fleet.values():
+            assert element_orders(G) == tuple(G.element_order(g) for g in G.elements()), G.name
+
     def test_closure_operator_axioms_exhaustive(self, small_groups):
         from centra.sets import ids_from_mask
 
@@ -395,3 +413,20 @@ class TestValidationInvariants:
         ]
         assert c.subgroup_label(q8, c.element_center(q8, by_label(q8, "i")[0])) == "<i>"
         assert c.subgroup_label(d8, c.subgroup_generated_by(d8, [])) == "1"
+
+
+class TestSubgroupLabel:
+    @pytest.mark.parametrize("name", ["d8", "q8", "s4", "H3xH3", "S6", "ut43xc3"])
+    def test_matches_former_labels(self, name, request, fleet, order_fleet):
+        G = fleet.get(name) or order_fleet.get(name) or request.getfixturevalue(name)
+        nodes = c.build_lattice(G).nodes + c.center_poset(G).nodes
+        assert [c.subgroup_label(G, n) for n in nodes] == [former_subgroup_label(G, n) for n in nodes]
+        vertices = [cl.ecenter for cl in c.z_star_partition(G) if cl.cent.mask != G.full_mask]
+        assert c.centralizer_graph(G).labels == tuple(former_subgroup_label(G, e) for e in vertices)
+
+    @pytest.mark.parametrize("labels", [("1", "a"), ("a^2",), ("a", "b"), ("1", "a^2", "b", "ab")])
+    def test_non_subgroup_raises(self, d8, labels):
+        S = d8.elem_set(by_label(d8, *labels))
+        for label in (c.subgroup_label, former_subgroup_label):
+            with pytest.raises(c.InvariantViolation, match="^generator fell outside the subgroup$"):
+                label(d8, S)
