@@ -28,7 +28,7 @@ from .graphs import (
     quotient_consistency,
     transversal_graph,
 )
-from .groups import Group, is_subgroup, subgroup_generated_by
+from .groups import Group, _bool_row_mask, is_subgroup, subgroup_generated_by
 from .lattice import build_lattice, center_poset, is_f_group
 from .moebius import (
     check_class_size_congruence,
@@ -95,13 +95,9 @@ def _random_row(gen: np.random.Generator, n: int, within, cap: int) -> np.ndarra
     return row
 
 
-def _row_mask(row: np.ndarray) -> int:
-    return int.from_bytes(np.packbits(row, bitorder="little").tobytes(), "little")
-
-
 def _subset_masks(gen: np.random.Generator, n: int, count: int, cap: int) -> list[int]:
     """``count`` random subset masks of range(n), each of at most ``cap`` ids."""
-    return [_row_mask(_random_row(gen, n, n, cap)) for _ in range(count)]
+    return [_bool_row_mask(_random_row(gen, n, n, cap)) for _ in range(count)]
 
 
 def _sampled_pairs(gen: np.random.Generator, n: int, count: int) -> list[tuple[int, int]]:
@@ -111,7 +107,7 @@ def _sampled_pairs(gen: np.random.Generator, n: int, count: int) -> list[tuple[i
     for _ in range(count):
         t_row = _random_row(gen, n, n, n)
         t_ids = np.flatnonzero(t_row)
-        pairs.append((_row_mask(_random_row(gen, n, t_ids, len(t_ids))), _row_mask(t_row)))
+        pairs.append((_bool_row_mask(_random_row(gen, n, t_ids, len(t_ids))), _bool_row_mask(t_row)))
     return pairs
 
 

@@ -133,11 +133,10 @@ class CentLattice(_NodeOrder):
     def join(self, H: NodeLike, K: NodeLike) -> Subgroup:
         """H ∨ K: the centralizer of C_G(H) ∩ C_G(K)."""
         i, j = self.index_of(H), self.index_of(K)
-        am = self.nodes[self.dual[i]].mask & self.nodes[self.dual[j]].mask
-        jm = centralizer_mask(self.group, am)
-        if jm not in self._index:
+        k = self._index.get(self.nodes[self.dual[i]].mask & self.nodes[self.dual[j]].mask)
+        if k is None:
             raise InvariantViolation("join of lattice nodes is not a node")
-        return self.nodes[self._index[jm]]
+        return self.nodes[self.dual[k]]
 
     @property
     @per_group
@@ -249,27 +248,10 @@ def _transpose(sets: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _up_sets(poset) -> tuple[int, ...]:
-    """Strict up-set bitmasks of a CentLattice or CenterPoset (its shared
-    ``above``), or of any other ``nodes``/``leq`` object, filled from ``leq``."""
-    if isinstance(poset, _NodeOrder):
-        return poset.above
-    n = len(poset.nodes)
-    leq = poset.leq
-    return tuple(
-        sum(1 << j for j in range(n) if j != i and leq(i, j)) for i in range(n)
-    )
-
-
-def _down_sets(poset) -> tuple[int, ...]:
-    """Strict down-set bitmasks, the converse of ``_up_sets``."""
-    return poset.below if isinstance(poset, _NodeOrder) else _transpose(_up_sets(poset))
-
-
-def _hasse_covers(poset) -> tuple[tuple[int, int], ...]:
-    """Covering pairs from strict up-set bitmasks: j covers i iff j is above i
-    and above no node that is itself above i."""
-    above = _up_sets(poset)
+def _hasse_covers(poset: _NodeOrder) -> tuple[tuple[int, int], ...]:
+    """Covering pairs from the strict up-sets ``above``: j covers i iff j is
+    above i and above no node that is itself above i."""
+    above = poset.above
     edges = []
     for i, up in enumerate(above):
         if up:
@@ -280,11 +262,11 @@ def _hasse_covers(poset) -> tuple[tuple[int, int], ...]:
     return tuple(edges)
 
 
-def hasse_edges(poset) -> tuple[tuple[int, int], ...]:
+def hasse_edges(poset: _NodeOrder) -> tuple[tuple[int, int], ...]:
     """Covering pairs (i, j) of a CentLattice or CenterPoset: node i is covered
     by node j.  Ordered by (i, j) under the object's node ordering; computed
-    once per lattice or poset (afresh for any other ``nodes``/``leq`` object)."""
-    return poset.covers if isinstance(poset, _NodeOrder) else _hasse_covers(poset)
+    once per lattice or poset."""
+    return poset.covers
 
 
 def all_subgroups(G: Group, limit_order: int = 64) -> tuple[Subgroup, ...]:

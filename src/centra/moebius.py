@@ -7,7 +7,7 @@ from typing import Optional
 
 from .centralizers import z_star_partition
 from .groups import Group, InvariantViolation
-from .lattice import CenterPoset, _down_sets, build_lattice, center_poset, is_f_group
+from .lattice import CenterPoset, build_lattice, center_poset, is_f_group
 from .sets import ids_from_mask
 
 
@@ -25,14 +25,14 @@ class MoebiusTable:
 
 def moebius(P: CenterPoset) -> MoebiusTable:
     """mu by one pass over nodes sorted by subgroup size; computed once per
-    CenterPoset (afresh for any other ``nodes``/``min_index``/``leq`` object)."""
-    return P.moebius_table if isinstance(P, CenterPoset) else _moebius_table(P)
+    CenterPoset."""
+    return P.moebius_table
 
 
-def _moebius_table(P) -> MoebiusTable:
+def _moebius_table(P: CenterPoset) -> MoebiusTable:
     n = len(P.nodes)
     mn = P.min_index
-    below = _down_sets(P)
+    below = P.below
     for j in range(n):
         if j != mn and not (below[j] >> mn) & 1:
             raise ValueError("poset has no unique minimal element")

@@ -255,6 +255,72 @@ def former_quotient_consistency(G):
     return quotient == {(i + 1, j + 1) for i, j in c.centralizer_graph(G).edges}
 
 
+def naive_first_failing_law(table):
+    """The first group law that a square table (a list of rows of ids in
+    range) breaks, in the validator's order: identity, latin, inverse,
+    associativity; None for a group.  Each law is read from its definition,
+    entry by entry and triple by triple."""
+    ids = list(range(len(table)))
+    if table[0] != ids or [row[0] for row in table] != ids:
+        return "identity"
+    if any(sorted(row) != ids for row in table) or any(
+        sorted(row[y] for row in table) != ids for y in ids
+    ):
+        return "latin"
+    if not all(any(table[x][y] == 0 == table[y][x] for y in ids) for x in ids):
+        return "inverse"
+    for x in ids:
+        for a in ids:
+            for y in ids:
+                if table[table[x][a]][y] != table[x][table[a][y]]:
+                    return "associativity"
+    return None
+
+
+def intercalates(table):
+    """Every intercalate (r1, r2, c1, c2) of a latin square that avoids row 0
+    and column 0: a 2x2 subsquare whose diagonals each hold one value."""
+    n = len(table)
+    pairs = list(itertools.combinations(range(1, n), 2))
+    return [
+        (r1, r2, c1, c2)
+        for r1, r2 in pairs
+        for c1, c2 in pairs
+        if table[r1, c1] == table[r2, c2] and table[r1, c2] == table[r2, c1]
+    ]
+
+
+def swap_intercalate(table, r1, r2, c1, c2):
+    """A copy of ``table`` with the two values of an intercalate swapped."""
+    out = np.array(table)
+    u, v = out[r1, c1], out[r1, c2]
+    out[r1, c1] = out[r2, c2] = v
+    out[r1, c2] = out[r2, c1] = u
+    return out
+
+
+def c1024_intercalate_table():
+    """C1024 with one intercalate swapped (rows 3 and 515, columns 7 and 519,
+    values 10 and 522): a latin square with identity 0 and two-sided
+    inverses that is not associative."""
+    ids = np.arange(1024)
+    return swap_intercalate((ids[:, None] + ids) % 1024, 3, 515, 7, 519)
+
+
+def paired_inverse_table(rng, n):
+    """A seeded n x n table with identity 0 and inverses paired by a random
+    involution (x*y = y*x = 0); every other entry is drawn from 1..n-1, so
+    most such tables are not latin squares."""
+    table = rng.integers(1, n, size=(n, n))
+    table[0] = table[:, 0] = np.arange(n)
+    rest = rng.permutation(np.arange(1, n)).tolist()
+    while rest:
+        x = rest.pop()
+        y = rest.pop() if rest and rng.random() < 0.5 else x
+        table[x, y] = table[y, x] = 0
+    return table
+
+
 def label_set(G, S):
     return {G.label(g) for g in S}
 
@@ -458,18 +524,6 @@ def order_fleet(s4, q8, h3):
         "H5": c.builtin_group("heisenberg", 5),
         "UT4_3": unitriangular4(3),
     }
-
-
-class NodesLeq:
-    """A plain ``nodes``/``min_index``/``leq`` view of a lattice or poset, so
-    the order algorithms take their generic path."""
-
-    def __init__(self, obj, min_index=0):
-        self.nodes = obj.nodes
-        self.min_index = min_index  # the center sorts first in both
-
-    def leq(self, i, j):
-        return self.nodes[i].mask & ~self.nodes[j].mask == 0
 
 
 @pytest.fixture(scope="session")

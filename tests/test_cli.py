@@ -10,6 +10,7 @@ import jsonschema
 import pytest
 
 import centra as c
+from conftest import c1024_intercalate_table
 
 
 def run_cli(*args, env_extra=None, cwd=None):
@@ -242,6 +243,16 @@ class TestExitCodes:
         res = run_cli("analyze", "--table", str(bad))
         assert res.returncode == 2
         assert "latin" in res.stderr or "identity" in res.stderr
+
+    def test_nonassociative_table_is_usage_error(self, tmp_path):
+        table = c1024_intercalate_table()
+        path = tmp_path / "c1024.tbl"
+        path.write_text(f"{len(table)}\n" + "".join(" ".join(map(str, row)) + "\n" for row in table.tolist()))
+        res = run_cli("analyze", "--table", str(path))
+        assert res.returncode == 2
+        assert res.stdout == ""
+        lines = res.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("centra: associativity:"), res.stderr
 
     @pytest.mark.parametrize("degree", ["0", "-2"])
     def test_non_positive_generator_degree_is_usage_error(self, tmp_path, degree):

@@ -1,5 +1,5 @@
-"""Edge cases that do not fit the main module test files: sampled-associativity
-validation for large tables, poset guards, and concurrent reads."""
+"""Edge cases that do not fit the main module test files: associativity
+validation above order 512, poset guards, and concurrent reads."""
 
 from concurrent.futures import ThreadPoolExecutor
 
@@ -7,14 +7,13 @@ import numpy as np
 import pytest
 
 import centra as c
-from centra.sets import Subgroup
 from test_groups import NONASSOC_LATIN_5, assert_rejects_missing_product_or_inverse
 
 
 class TestSampledAssociativity:
     def test_order_625_nonassociative_table_rejected(self):
-        """Orders above 512 are validated by triple sampling; a latin square
-        built as (5-element loop) x C125 still gets caught."""
+        """A latin square built as (5-element loop) x C125, with identity and
+        inverses, is rejected by the exact associativity test."""
         loop = np.array(NONASSOC_LATIN_5, dtype=np.int64)
         m = 125
         cyc = (np.arange(m)[:, None] + np.arange(m)[None, :]) % m
@@ -31,37 +30,16 @@ class TestSampledAssociativity:
         assert G.order == 625 and G.is_abelian
 
 
-class TestHasseTwoChain:
-    def test_chain_of_two_nodes_has_one_edge(self):
-        class Chain:
-            nodes = [Subgroup(4, 0b0001), Subgroup(4, 0b0011)]
-
-            def leq(self, i, j):
-                return self.nodes[i].mask & ~self.nodes[j].mask == 0
-
-        assert c.hasse_edges(Chain()) == ((0, 1),)
-
-    def test_three_chain_skips_transitive_edge(self):
-        class Chain:
-            nodes = [Subgroup(4, 0b0001), Subgroup(4, 0b0011), Subgroup(4, 0b1111)]
-
-            def leq(self, i, j):
-                return self.nodes[i].mask & ~self.nodes[j].mask == 0
-
-        assert c.hasse_edges(Chain()) == ((0, 1), (1, 2))
-
-
 class TestMoebiusGuard:
-    def test_no_unique_minimum_rejected(self):
-        class TwoIncomparable:
-            nodes = [Subgroup(4, 0b0011), Subgroup(4, 0b0101)]
-            min_index = 0
-
-            def leq(self, i, j):
-                return self.nodes[i].mask & ~self.nodes[j].mask == 0
-
+    def test_no_unique_minimum_rejected(self, d8):
+        """A CenterPoset whose minimum is claimed to be its top node; built
+        afresh, so D8's shared poset keeps its mu."""
+        shared = c.center_poset(d8)
+        masks = [node.mask for node in shared.nodes]
+        poset = c.CenterPoset(d8, masks, dict(zip(masks, shared.class_sizes)))
+        poset.min_index = len(poset.nodes) - 1
         with pytest.raises(ValueError, match="unique minimal"):
-            c.moebius(TwoIncomparable())
+            c.moebius(poset)
 
 
 class TestExportDotGuards:

@@ -3,7 +3,18 @@ import pytest
 
 import centra as c
 from centra.groups import element_orders
-from conftest import by_label, former_subgroup_label, label_set, naive_center, naive_generated
+from conftest import (
+    by_label,
+    c1024_intercalate_table,
+    former_subgroup_label,
+    intercalates,
+    label_set,
+    naive_center,
+    naive_first_failing_law,
+    naive_generated,
+    paired_inverse_table,
+    swap_intercalate,
+)
 
 # Found by backtracking over latin squares with identity row/column and paired
 # inverses; frozen here.  Structural preconditions are re-asserted below so the
@@ -413,6 +424,40 @@ class TestValidationInvariants:
         ]
         assert c.subgroup_label(q8, c.element_center(q8, by_label(q8, "i")[0])) == "<i>"
         assert c.subgroup_label(d8, c.subgroup_generated_by(d8, [])) == "1"
+
+
+class TestExactValidation:
+    def test_c1024_intercalate_rejected(self):
+        """One swapped intercalate in C1024 keeps the latin, identity and
+        inverse laws, so only an exact associativity test rejects it."""
+        with pytest.raises(c.GroupTableError) as exc:
+            c.Group(c1024_intercalate_table())
+        assert exc.value.law == "associativity"
+
+    def test_matches_naive_oracle(self, small_groups):
+        """Accepted exactly when every law holds; otherwise the law named is
+        the oracle's first failing one."""
+        tables = [np.array(NONASSOC_LATIN_5)]
+        for key in ("D8", "Q8", "C8", "C4xC2", "C2xC2xC2"):
+            T = small_groups[key].table
+            tables += [swap_intercalate(T, *q) for q in intercalates(T)]
+        rng = np.random.default_rng(23)
+        tables += [paired_inverse_table(rng, n) for n in rng.integers(2, 9, size=300)]
+        for n in rng.integers(2, 9, size=100):  # identity only: zeros anywhere
+            table = rng.integers(0, n, size=(n, n))
+            table[0] = table[:, 0] = np.arange(n)
+            tables.append(table)
+        seen = set()
+        for table in tables:
+            expected = naive_first_failing_law(table.tolist())
+            try:
+                c.Group(table)
+                law = None
+            except c.GroupTableError as exc:
+                law = exc.law
+            assert law == expected, table.tolist()
+            seen.add(law)
+        assert seen == {None, "latin", "inverse", "associativity"}
 
 
 class TestSubgroupLabel:

@@ -5,7 +5,6 @@ import pytest
 import centra as c
 from conftest import (
     ORDER_FLEET,
-    NodesLeq,
     by_label,
     former_transversal_error,
     label_set,
@@ -16,7 +15,6 @@ from conftest import (
     naive_u_star,
     pairwise_lattice_masks,
 )
-from centra import lattice
 from centra.sets import ids_from_mask
 
 
@@ -282,16 +280,6 @@ class TestOrderMasks:
         assert list(obj.above) == leq_up_sets(obj)
         assert list(obj.below) == leq_down_sets(obj)
         assert list(c.hasse_edges(obj)) == leq_covers(obj)
-
-    @pytest.mark.parametrize("name", ["S4", "D16", "H5", "UT4_3"])
-    def test_generic_nodes_leq_object(self, order_fleet, name):
-        G = order_fleet[name]
-        for obj in (c.build_lattice(G), c.center_poset(G)):
-            view = NodesLeq(obj)
-            assert lattice._up_sets(view) == obj.above
-            assert lattice._down_sets(view) == obj.below
-            assert c.hasse_edges(view) == c.hasse_edges(obj)
-            assert c.hasse_edges(view) is not c.hasse_edges(view)  # computed afresh
 
 
 class TestUStar:

@@ -2,7 +2,7 @@ import pytest
 
 import centra as c
 from centra.moebius import p_group_prime
-from conftest import ORDER_FLEET, NodesLeq, leq_moebius
+from conftest import ORDER_FLEET, leq_moebius
 
 
 class TestMoebiusFunction:
@@ -34,14 +34,6 @@ class TestMoebiusFunction:
     def test_matches_leq_recursion(self, order_fleet, name):
         poset = c.center_poset(order_fleet[name])
         assert list(c.moebius(poset).mu) == leq_moebius(poset)
-
-    @pytest.mark.parametrize("name", ["S4", "D16", "H5", "UT4_3"])
-    def test_generic_nodes_leq_object(self, order_fleet, name):
-        poset = c.center_poset(order_fleet[name])
-        view = NodesLeq(poset)
-        assert c.moebius(view).mu == c.moebius(poset).mu
-        with pytest.raises(ValueError, match="no unique minimal element"):
-            c.moebius(NodesLeq(poset, min_index=len(poset.nodes) - 1))
 
     def test_value_lookup_by_subgroup(self, d8):
         poset = c.center_poset(d8)
