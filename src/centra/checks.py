@@ -4,15 +4,17 @@ Each suite replays the theorem-backed invariants of its area on one group:
 exhaustively over the power set up to order ``EXHAUSTIVE_LIMIT``, and on
 seeded random samples above that (``samples`` cases per algebra law, drawn as
 masks from one numpy ``Generator`` seeded from the suite's ``random.Random``),
-so identical invocations always test identical cases.
+so identical invocations always test identical cases.  Each law's
+counterexamples are a lazy stream of witness strings in case order; the law
+fails with the first one (``_Suite.check``).
 """
 
 from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from dataclasses import dataclass
+from typing import Callable, Iterable, Optional
 
 import numpy as np
 
@@ -81,6 +83,11 @@ class _Suite:
     def record(self, name: str, witness: Optional[str], detail: str = "") -> None:
         status = "pass" if witness is None else "fail"
         self.results.append(PropertyResult(f"{self.prefix}/{name}", status, detail, witness))
+
+    def check(self, name: str, witnesses: Iterable[str], detail: str = "") -> None:
+        """Record a law that fails with the first of its counterexamples, a
+        lazy stream in case order, and passes when the stream is empty."""
+        self.record(name, next(iter(witnesses), None), detail)
 
     def skip(self, name: str, reason: str) -> None:
         self.results.append(PropertyResult(f"{self.prefix}/{name}", "skip", reason))
@@ -170,90 +177,64 @@ def algebra_suite(G: Group, rng: random.Random, samples: int) -> list[PropertyRe
         gpairs = list(zip(_subset_masks(gen, n, samples, n), _subset_masks(gen, n, samples, n)))
 
     # C(empty) = C({1}) = G: the empty set and {1} both generate the trivial subgroup.
-    witness = None if cm(0) == G.full_mask else "C(empty) != G"
-    if witness is None and cm(1) != G.full_mask:
-        witness = "C({0}) != G"
-    s.record("empty_set_centralizer", witness)
+    s.check("empty_set_centralizer",
+            (f"C({shown}) != G" for m, shown in ((0, "empty"), (1, "{0}")) if cm(m) != G.full_mask))
 
-    witness = None
-    is_group: dict[int, bool] = {}
-    for m in pool:
-        res = cm(m)
-        if res not in is_group:
-            is_group[res] = is_subgroup(G, ElemSet(n, res))
-        if not is_group[res]:
-            witness = f"C({_mask_str(m)}) is not a subgroup"
-            break
-    s.record("centralizer_is_subgroup", witness, f"{len(pool)} subsets")
+    def not_subgroups():
+        is_group: dict[int, bool] = {}
+        for m in pool:
+            res = cm(m)
+            if res not in is_group:
+                is_group[res] = is_subgroup(G, ElemSet(n, res))
+            if not is_group[res]:
+                yield f"C({_mask_str(m)}) is not a subgroup"
+
+    s.check("centralizer_is_subgroup", not_subgroups(), f"{len(pool)} subsets")
 
     # Antitone law over ordered pairs S <= T.
-    witness = None
-    for s_mask, t_mask in pairs:
-        if cm(t_mask) & ~cm(s_mask):
-            witness = f"S={_mask_str(s_mask)} T={_mask_str(t_mask)}"
-            break
-    s.record("antitone_containment", witness, f"{len(pairs)} subset pairs")
+    s.check("antitone_containment",
+            (f"S={_mask_str(a)} T={_mask_str(b)}" for a, b in pairs if cm(b) & ~cm(a)),
+            f"{len(pairs)} subset pairs")
 
     # Intersection law over pairs and a few wider collections.
-    witness = None
-    for coll in collections:
-        union = 0
-        inter = G.full_mask
-        for part in coll:
-            union |= part
-            inter &= cm(part)
-        if cm(union) != inter:
-            witness = " ".join(_mask_str(part) for part in coll)
-            break
-    s.record("intersection_law", witness, f"{len(collections)} collections")
+    def intersection_failures():
+        for coll in collections:
+            union = 0
+            inter = G.full_mask
+            for part in coll:
+                union |= part
+                inter &= cm(part)
+            if cm(union) != inter:
+                yield " ".join(_mask_str(part) for part in coll)
+
+    s.check("intersection_law", intersection_failures(), f"{len(collections)} collections")
 
     # C(S) = C(<S>); generated subgroups kept small on purpose.
-    witness = None
-    for m in gen_pool:
-        if cm(m) != cm(subgroup_generated_by(G, ElemSet(n, m)).mask):
-            witness = f"S={_mask_str(m)}"
-            break
-    s.record("generated_subgroup_law", witness, f"{len(gen_pool)} subsets")
+    s.check("generated_subgroup_law",
+            (f"S={_mask_str(m)}" for m in gen_pool
+             if cm(m) != cm(subgroup_generated_by(G, ElemSet(n, m)).mask)),
+            f"{len(gen_pool)} subsets")
 
-    witness = None
-    for m in pool:
-        first = cm(m)
-        if cm(cm(first)) != first:
-            witness = f"S={_mask_str(m)}"
-            break
-    s.record("triple_centralizer", witness, f"{len(pool)} subsets")
+    s.check("triple_centralizer",
+            (f"S={_mask_str(m)}" for m, first in zip(pool, map(cm, pool)) if cm(cm(first)) != first),
+            f"{len(pool)} subsets")
 
     # Galois: T <= C(S) iff S <= C(T), over arbitrary pairs.
-    witness = None
-    for a, b in gpairs:
-        if (b & ~cm(a) == 0) != (a & ~cm(b) == 0):
-            witness = f"S={_mask_str(a)} T={_mask_str(b)}"
-            break
-    s.record("galois_equivalence", witness, f"{len(gpairs)} pairs")
+    s.check("galois_equivalence",
+            (f"S={_mask_str(a)} T={_mask_str(b)}" for a, b in gpairs
+             if (b & ~cm(a) == 0) != (a & ~cm(b) == 0)),
+            f"{len(gpairs)} pairs")
 
     # Closure-operator axioms for C(C(.)).
     clm = lambda mask: cm(cm(mask))
-    witness = None
-    for m in pool:
-        if m & ~clm(m):
-            witness = f"S={_mask_str(m)}"
-            break
-    s.record("closure_extensive", witness, f"{len(pool)} subsets")
-
-    witness = None
-    for s_mask, t_mask in pairs:
-        if clm(s_mask) & ~clm(t_mask):
-            witness = f"S={_mask_str(s_mask)} T={_mask_str(t_mask)}"
-            break
-    s.record("closure_monotone", witness, f"{len(pairs)} subset pairs")
-
-    witness = None
-    for m in pool:
-        once = clm(m)
-        if clm(once) != once:
-            witness = f"S={_mask_str(m)}"
-            break
-    s.record("closure_idempotent", witness, f"{len(pool)} subsets")
+    s.check("closure_extensive", (f"S={_mask_str(m)}" for m in pool if m & ~clm(m)),
+            f"{len(pool)} subsets")
+    s.check("closure_monotone",
+            (f"S={_mask_str(a)} T={_mask_str(b)}" for a, b in pairs if clm(a) & ~clm(b)),
+            f"{len(pairs)} subset pairs")
+    s.check("closure_idempotent",
+            (f"S={_mask_str(m)}" for m, once in zip(pool, map(clm, pool)) if clm(once) != once),
+            f"{len(pool)} subsets")
     return s.results
 
 
@@ -262,23 +243,16 @@ def lattice_suite(G: Group, rng: random.Random, samples: int) -> list[PropertyRe
     lat = build_lattice(G)
     nodes = lat.nodes
     k = len(nodes)
+    label = lat.node_label
 
-    witness = None
-    for i, node in enumerate(nodes):
-        if closure(G, node).mask != node.mask:
-            witness = f"node {lat.node_label(i)}"
-            break
-    s.record("nodes_are_closure_fixed_points", witness, f"{k} nodes")
+    s.check("nodes_are_closure_fixed_points",
+            (f"node {label(i)}" for i, node in enumerate(nodes) if closure(G, node).mask != node.mask),
+            f"{k} nodes")
 
-    witness = None
-    if sorted(lat.dual) != list(range(k)):
-        witness = "dual is not a bijection"
-    else:
-        for i in range(k):
-            if lat.dual[lat.dual[i]] != i:
-                witness = f"dual(dual({lat.node_label(i)})) != itself"
-                break
-    s.record("duality_involution", witness)
+    dual = lat.dual
+    s.check("duality_involution",
+            ["dual is not a bijection"] if sorted(dual) != list(range(k))
+            else (f"dual(dual({label(i)})) != itself" for i in range(k) if dual[dual[i]] != i))
 
     if k * k > 4 * samples and k > 40:
         pair_idx = [
@@ -286,82 +260,64 @@ def lattice_suite(G: Group, rng: random.Random, samples: int) -> list[PropertyRe
         ]
     else:
         pair_idx = [(i, j) for i in range(k) for j in range(k)]
-    witness = None
-    for i, j in pair_idx:
-        if lat.leq(i, j) != lat.leq(lat.dual[j], lat.dual[i]):
-            witness = f"{lat.node_label(i)} vs {lat.node_label(j)}"
-            break
-    s.record("duality_order_reversing", witness, f"{len(pair_idx)} node pairs")
+    s.check("duality_order_reversing",
+            (f"{label(i)} vs {label(j)}" for i, j in pair_idx
+             if lat.leq(i, j) != lat.leq(dual[j], dual[i])),
+            f"{len(pair_idx)} node pairs")
 
-    witness = None
     node_masks = [node.mask for node in nodes]
-    for i, j in pair_idx:
-        H, K = nodes[i], nodes[j]
-        try:
-            m = lat.meet(H, K)
-            jn = lat.join(H, K)
-        except ValueError as exc:
-            witness = str(exc)
-            break
-        if m.mask != H.mask & K.mask:
-            witness = f"meet({lat.node_label(i)},{lat.node_label(j)})"
-            break
-        # Join must be the least node containing both.
-        both = H.mask | K.mask
-        expected = G.full_mask
-        for om in node_masks:
-            if both & ~om == 0:
-                expected &= om
-        if jn.mask != expected:
-            witness = f"join({lat.node_label(i)},{lat.node_label(j)})"
-            break
-    s.record("meet_join_closed_and_least", witness, f"{len(pair_idx)} node pairs")
+
+    def meet_join_failures():
+        for i, j in pair_idx:
+            H, K = nodes[i], nodes[j]
+            m, jn = lat.meet(H, K), lat.join(H, K)
+            if m.mask != H.mask & K.mask:
+                yield f"meet({label(i)},{label(j)})"
+            # Join must be the least node containing both.
+            both = H.mask | K.mask
+            expected = G.full_mask
+            for om in node_masks:
+                if both & ~om == 0:
+                    expected &= om
+            if jn.mask != expected:
+                yield f"join({label(i)},{label(j)})"
+
+    s.check("meet_join_closed_and_least", meet_join_failures(), f"{len(pair_idx)} node pairs")
 
     ustar = lat.ustar
-    witness = None
-    for i, j in pair_idx:
-        ujoin = ustar[lat.index_of(lat.join(nodes[i], nodes[j]))].mask
-        if ujoin != ustar[i].mask & ustar[j].mask:
-            witness = f"U*({lat.node_label(i)} v {lat.node_label(j)})"
-            break
-    s.record("ustar_intersection_law", witness, f"{len(pair_idx)} node pairs")
+    s.check("ustar_intersection_law",
+            (f"U*({label(i)} v {label(j)})" for i, j in pair_idx
+             if ustar[lat.index_of(lat.join(nodes[i], nodes[j]))].mask != ustar[i].mask & ustar[j].mask),
+            f"{len(pair_idx)} node pairs")
 
-    witness = None
     triples = [
         (rng.randrange(k), rng.randrange(k), rng.randrange(k)) for _ in range(samples)
     ]
-    for i, j, l in triples:
-        H, K, L = nodes[i], nodes[j], nodes[l]
-        if lat.meet(H, H).mask != H.mask or lat.join(H, H).mask != H.mask:
-            witness = f"idempotence at {lat.node_label(i)}"
-            break
-        if lat.meet(H, K).mask != lat.meet(K, H).mask or lat.join(H, K).mask != lat.join(K, H).mask:
-            witness = f"commutativity at {lat.node_label(i)},{lat.node_label(j)}"
-            break
-        if lat.meet(lat.meet(H, K), L).mask != lat.meet(H, lat.meet(K, L)).mask:
-            witness = "meet associativity"
-            break
-        if lat.join(lat.join(H, K), L).mask != lat.join(H, lat.join(K, L)).mask:
-            witness = "join associativity"
-            break
-        if lat.meet(H, lat.join(H, K)).mask != H.mask or lat.join(H, lat.meet(H, K)).mask != H.mask:
-            witness = "absorption"
-            break
-    s.record("lattice_laws", witness, f"{len(triples)} random triples")
 
-    witness = None
-    if nodes[lat.top].mask != G.full_mask:
-        witness = "top is not G"
-    elif nodes[lat.bottom].mask != G.center.mask:
-        witness = "bottom is not Z(G)"
-    s.record("top_bottom", witness)
+    def law_failures():
+        meet, join = lat.meet, lat.join
+        for i, j, l in triples:
+            H, K, L = nodes[i], nodes[j], nodes[l]
+            if meet(H, H).mask != H.mask or join(H, H).mask != H.mask:
+                yield f"idempotence at {label(i)}"
+            if meet(H, K).mask != meet(K, H).mask or join(H, K).mask != join(K, H).mask:
+                yield f"commutativity at {label(i)},{label(j)}"
+            if meet(meet(H, K), L).mask != meet(H, meet(K, L)).mask:
+                yield "meet associativity"
+            if join(join(H, K), L).mask != join(H, join(K, L)).mask:
+                yield "join associativity"
+            if meet(H, join(H, K)).mask != H.mask or join(H, meet(H, K)).mask != H.mask:
+                yield "absorption"
+
+    s.check("lattice_laws", law_failures(), f"{len(triples)} random triples")
+
+    ends = ((lat.top, G.full_mask, "top is not G"), (lat.bottom, G.center.mask, "bottom is not Z(G)"))
+    s.check("top_bottom", (w for i, mask, w in ends if nodes[i].mask != mask))
 
     if G.order <= POWERSET_ORACLE_LIMIT:
-        seen = set()
-        for m in range(1 << G.order):
-            seen.add(centralizer_mask(G, m))
-        witness = None if seen == {node.mask for node in nodes} else "power-set image differs"
-        s.record("powerset_agreement", witness, f"all {1 << G.order} subsets")
+        seen = {centralizer_mask(G, m) for m in range(1 << G.order)}
+        s.check("powerset_agreement", [] if seen == set(node_masks) else ["power-set image differs"],
+                f"all {1 << G.order} subsets")
     else:
         s.skip("powerset_agreement", f"order {G.order} > {POWERSET_ORACLE_LIMIT}")
     return s.results
@@ -371,112 +327,99 @@ def partition_suite(G: Group, rng: random.Random, samples: int) -> list[Property
     s = _Suite("partition")
     classes = z_star_partition(G)
     n = G.order
+    name = lambda c: G.label(c.representative)
 
-    union = 0
-    overlap = None
-    for c in classes:
-        if union & c.members.mask:
-            overlap = f"class of {G.label(c.representative)} overlaps another"
-            break
-        union |= c.members.mask
-    witness = overlap or (None if union == G.full_mask else "classes do not cover G")
-    s.record("partition_disjoint_cover", witness, f"{len(classes)} classes")
+    def cover_failures():
+        union = 0
+        for c in classes:
+            if union & c.members.mask:
+                yield f"class of {name(c)} overlaps another"
+            union |= c.members.mask
+        if union != G.full_mask:
+            yield "classes do not cover G"
 
-    witness = None
-    for c in classes:
-        if any(G.cent_masks[m] != c.cent.mask for m in c.members):
-            witness = f"class of {G.label(c.representative)}"
-            break
-    s.record("class_shares_centralizer", witness)
+    s.check("partition_disjoint_cover", cover_failures(), f"{len(classes)} classes")
 
-    witness = None
-    for c in classes:
-        if c.members.mask & ~c.ecenter.mask:
-            witness = f"Z*({G.label(c.representative)}) not inside Z"
-            break
-        if not is_abelian_subset(G, c.ecenter):
-            witness = f"Z({G.label(c.representative)}) not abelian"
-            break
-        # Element center must be the center of the centralizer.
-        zc = 0
-        for m in c.cent:
-            if c.cent.mask & ~G.cent_masks[m] == 0:
-                zc |= 1 << m
-        if zc != c.ecenter.mask:
-            witness = f"Z({G.label(c.representative)}) != Z(C(.))"
-            break
-    s.record("ecenter_structure", witness)
+    s.check("class_shares_centralizer",
+            (f"class of {name(c)}" for c in classes
+             if any(G.cent_masks[m] != c.cent.mask for m in c.members)))
+
+    def ecenter_failures():
+        for c in classes:
+            if c.members.mask & ~c.ecenter.mask:
+                yield f"Z*({name(c)}) not inside Z"
+            if not is_abelian_subset(G, c.ecenter):
+                yield f"Z({name(c)}) not abelian"
+            # Element center must be the center of the centralizer.
+            zc = 0
+            for m in c.cent:
+                if c.cent.mask & ~G.cent_masks[m] == 0:
+                    zc |= 1 << m
+            if zc != c.ecenter.mask:
+                yield f"Z({name(c)}) != Z(C(.))"
+
+    s.check("ecenter_structure", ecenter_failures())
 
     z = G.center
-    witness = None
-    for c in classes:
-        if len(c.members) % len(z):
-            witness = f"|Z*({G.label(c.representative)})| not divisible by |Z(G)|"
-            break
-        covered = 0
-        for m in c.members:
-            if (covered >> m) & 1:
-                continue
-            coset = 0
-            for zi in z:
-                coset |= 1 << G.mul(m, zi)
-            if coset & ~c.members.mask:
-                witness = f"coset of {G.label(m)} leaves its class"
-                break
-            covered |= coset
-        if witness:
-            break
-    s.record("coset_structure", witness)
 
-    witness = None
-    for c in classes:
-        if (z.mask >> c.representative) & 1 and c.members.mask != z.mask:
-            witness = "central class is not Z(G)"
-            break
-    s.record("central_class_is_center", witness)
+    def coset_failures():
+        for c in classes:
+            if len(c.members) % len(z):
+                yield f"|Z*({name(c)})| not divisible by |Z(G)|"
+            covered = 0
+            for m in c.members:
+                if (covered >> m) & 1:
+                    continue
+                coset = 0
+                for zi in z:
+                    coset |= 1 << G.mul(m, zi)
+                if coset & ~c.members.mask:
+                    yield f"coset of {G.label(m)} leaves its class"
+                covered |= coset
+
+    s.check("coset_structure", coset_failures())
+
+    s.check("central_class_is_center",
+            ("central class is not Z(G)" for c in classes
+             if (z.mask >> c.representative) & 1 and c.members.mask != z.mask))
 
     lat = build_lattice(G)
-    witness = None
-    for i, node in enumerate(lat.nodes):
-        hm = node.mask
-        total = 0
-        count = 0
-        for c in classes:
-            if c.ecenter.mask & ~hm == 0:
-                if total & c.members.mask:
-                    witness = f"union not disjoint inside {lat.node_label(i)}"
-                    break
-                total |= c.members.mask
-                count += len(c.members)
-        if witness:
-            break
-        if total != hm or count != len(node):
-            witness = f"node {lat.node_label(i)} is not the union of its Z*-classes"
-            break
-    s.record("partition_theorem_on_lattice", witness, f"{len(lat.nodes)} nodes")
 
-    witness = None
-    for i, (node, u) in enumerate(zip(lat.nodes, lat.ustar)):
-        if centralizer_mask(G, u.mask) != node.mask:
-            witness = f"C(U*) != H at {lat.node_label(i)}"
-            break
-    s.record("ustar_recovers_nodes", witness)
+    def theorem_failures():
+        for i, node in enumerate(lat.nodes):
+            hm = node.mask
+            total = 0
+            count = 0
+            for c in classes:
+                if c.ecenter.mask & ~hm == 0:
+                    if total & c.members.mask:
+                        yield f"union not disjoint inside {lat.node_label(i)}"
+                    total |= c.members.mask
+                    count += len(c.members)
+            if total != hm or count != len(node):
+                yield f"node {lat.node_label(i)} is not the union of its Z*-classes"
+
+    s.check("partition_theorem_on_lattice", theorem_failures(), f"{len(lat.nodes)} nodes")
+
+    s.check("ustar_recovers_nodes",
+            (f"C(U*) != H at {lat.node_label(i)}" for i, (node, u) in enumerate(zip(lat.nodes, lat.ustar))
+             if centralizer_mask(G, u.mask) != node.mask))
 
     if n <= POWERSET_ORACLE_LIMIT:
         fibers: dict[int, int] = {}
         for m in range(1 << n):
             cmask = centralizer_mask(G, m)
             fibers[cmask] = fibers.get(cmask, 0) | m
-        witness = None
-        for cmask, union_mask in fibers.items():
-            union_cmask = centralizer_mask(G, union_mask)
-            if centralizer_mask(G, union_cmask) != union_mask:
-                witness = f"fiber union {_mask_str(union_mask)} is not closed"
-                break
-            if union_cmask != cmask:
-                witness = f"fiber union {_mask_str(union_mask)} changes the centralizer"
-                break
-        s.record("fiber_union_is_closure", witness, f"{len(fibers)} fibers")
+
+        def fiber_failures():
+            for cmask, union_mask in fibers.items():
+                union_cmask = centralizer_mask(G, union_mask)
+                if centralizer_mask(G, union_cmask) != union_mask:
+                    yield f"fiber union {_mask_str(union_mask)} is not closed"
+                if union_cmask != cmask:
+                    yield f"fiber union {_mask_str(union_mask)} changes the centralizer"
+
+        s.check("fiber_union_is_closure", fiber_failures(), f"{len(fibers)} fibers")
     else:
         s.skip("fiber_union_is_closure", f"order {n} > {POWERSET_ORACLE_LIMIT}")
     return s.results
@@ -485,20 +428,15 @@ def partition_suite(G: Group, rng: random.Random, samples: int) -> list[Property
 def moebius_suite(G: Group, rng: random.Random, samples: int) -> list[PropertyResult]:
     s = _Suite("moebius")
     poset = center_poset(G)
-    table = moebius(poset)
-
-    witness = None
+    mu = moebius(poset).mu
+    size = len(poset.nodes)
     mn = poset.min_index
-    for i in range(len(poset.nodes)):
-        below = sum(table.mu[j] for j in range(len(poset.nodes)) if j != i and poset.leq(j, i))
-        expected = 1 if i == mn else -below
-        if table.mu[i] != expected:
-            witness = f"mu mismatch at {poset.node_label(i)}"
-            break
-    s.record("recursion_reverified", witness, f"{len(poset.nodes)} nodes")
 
-    witness = None if all(poset.leq(mn, j) for j in range(len(poset.nodes))) else "no unique minimum"
-    s.record("unique_minimum", witness)
+    s.check("recursion_reverified",
+            (f"mu mismatch at {poset.node_label(i)}" for i in range(size)
+             if mu[i] != (1 if i == mn else -sum(mu[j] for j in range(size) if j != i and poset.leq(j, i)))),
+            f"{size} nodes")
+    s.check("unique_minimum", ("no unique minimum" for j in range(size) if not poset.leq(mn, j)))
 
     p = p_group_prime(G.order)
     if p is None:
@@ -523,23 +461,11 @@ def moebius_suite(G: Group, rng: random.Random, samples: int) -> list[PropertyRe
             s.skip("f_group_counts", "not a nonabelian F-group")
 
     if is_f_group(G):
-        witness = None
-        for i, m in enumerate(table.mu):
-            if i != mn and m != -1:
-                witness = f"mu({poset.node_label(i)}) = {m}"
-                break
-        s.record("f_group_mu_is_minus_one", witness)
+        s.check("f_group_mu_is_minus_one",
+                (f"mu({poset.node_label(i)}) = {m}" for i, m in enumerate(mu) if i != mn and m != -1))
     else:
         s.skip("f_group_mu_is_minus_one", "not an F-group")
     return s.results
-
-
-def _degree_witness(graph, ok: Callable[[int, int], bool], show_degree=False) -> Optional[str]:
-    """The first vertex whose degree fails ``ok(vertex id, degree)``, as a witness."""
-    for v, lab, deg in zip(graph.vertex_ids, graph.labels, graph.degrees()):
-        if not ok(v, deg):
-            return f"vertex {lab}: degree {deg}" if show_degree else f"vertex {lab}"
-    return None
 
 
 def graphs_suite(G: Group, rng: random.Random, samples: int) -> list[PropertyResult]:
@@ -552,60 +478,71 @@ def graphs_suite(G: Group, rng: random.Random, samples: int) -> list[PropertyRes
     cent_sizes = (G.table == G.table.T).sum(axis=1).tolist()
     zsize = cent_sizes.count(G.order)
     com = commuting_graph(G)
-    witness = _degree_witness(com, lambda v, deg: deg == cent_sizes[v] - zsize - 1)
-    s.record("commuting_degree_formula", witness, f"{com.vertex_count} vertices")
+    s.check("commuting_degree_formula",
+            (f"vertex {lab}" for v, lab, deg in zip(com.vertex_ids, com.labels, com.degrees())
+             if deg != cent_sizes[v] - zsize - 1),
+            f"{com.vertex_count} vertices")
 
     pz = p_group_prime(zsize)
     if pz is not None:
-        witness = _degree_witness(com, lambda v, deg: deg % pz == (-1) % pz, show_degree=True)
-        s.record("commuting_degrees_mod_p", witness, f"p={pz}")
+        s.check("commuting_degrees_mod_p",
+                (f"vertex {lab}: degree {deg}" for lab, deg in zip(com.labels, com.degrees())
+                 if deg % pz != (-1) % pz),
+                f"p={pz}")
     else:
         s.skip("commuting_degrees_mod_p", "Z(G) is not a nontrivial p-group")
 
-    transversal_law = lambda v, deg: deg == cent_sizes[v] // zsize - 2
+    def transversal_failures(graph):
+        return (f"vertex {lab}" for v, lab, deg in zip(graph.vertex_ids, graph.labels, graph.degrees())
+                if deg != cent_sizes[v] // zsize - 2)
+
     tg = transversal_graph(G)
-    s.record("transversal_degree_formula", _degree_witness(tg, transversal_law),
-             f"{tg.vertex_count} vertices")
+    s.check("transversal_degree_formula", transversal_failures(tg), f"{tg.vertex_count} vertices")
 
     # The degree formula holds for any transversal, not just the default one.
     cosets: dict[int, list[int]] = {}  # by least member, each ascending
     for g, least in enumerate(G.table[:, list(G.center.members)].min(axis=1).tolist()):
         cosets.setdefault(least, []).append(g)
     alt = [rng.choice(coset) for coset in cosets.values()]
-    tg_alt = transversal_graph(G, alt)
-    s.record("transversal_degree_formula_random_t", _degree_witness(tg_alt, transversal_law))
+    s.check("transversal_degree_formula_random_t", transversal_failures(transversal_graph(G, alt)))
 
     pq = p_group_prime(G.order // zsize)
     if pq is not None:
-        witness = _degree_witness(tg, lambda v, deg: deg % pq == (-2) % pq, show_degree=True)
-        s.record("transversal_degrees_mod_p", witness, f"p={pq}")
+        s.check("transversal_degrees_mod_p",
+                (f"vertex {lab}: degree {deg}" for lab, deg in zip(tg.labels, tg.degrees())
+                 if deg % pq != (-2) % pq),
+                f"p={pq}")
     else:
         s.skip("transversal_degrees_mod_p", "G/Z(G) is not a nontrivial p-group")
 
     cg = centralizer_graph(G)
     classes = [c for c in z_star_partition(G) if c.cent.mask != G.full_mask]
-    witness = None if cg.vertex_count == len(classes) else "vertex count != proper centralizers"
-    s.record("centralizer_graph_vertices", witness)
+    s.check("centralizer_graph_vertices",
+            [] if cg.vertex_count == len(classes) else ["vertex count != proper centralizers"])
 
-    # Adjacency agrees with the dual formulation on element centers.
+    # Each pair is adjacent iff Z(j) <= C(i), iff Z(i) <= C(j): the duality.
     cg_edges = set(cg.edges)
     ecenters = [a.ecenter.mask for a in classes]
     outside = [~b.cent.mask for b in classes]
-    bad = next(((i, j) for i, j in itertools.combinations(range(len(classes)), 2)
-                if ((i, j) in cg_edges) != (ecenters[i] & outside[j] == 0)), None)
     reps = [G.label(c.representative) for c in classes]
-    witness = None if bad is None else f"pair {reps[bad[0]]},{reps[bad[1]]}"
-    s.record("centralizer_graph_duality", witness)
+
+    def duality_failures():
+        for i, (zi, oi) in enumerate(zip(ecenters, outside)):
+            for j in range(i + 1, len(classes)):
+                if not ((i, j) in cg_edges) == (ecenters[j] & oi == 0) == (zi & outside[j] == 0):
+                    yield f"pair {reps[i]},{reps[j]}"
+
+    s.check("centralizer_graph_duality", duality_failures())
 
     p = p_group_prime(G.order)
     if p is not None and is_f_group(G):
-        witness = _degree_witness(cg, lambda v, deg: deg % p == 0, show_degree=True)
-        s.record("f_group_centralizer_degrees", witness, f"p={p}")
+        s.check("f_group_centralizer_degrees",
+                (f"vertex {lab}: degree {deg}" for lab, deg in zip(cg.labels, cg.degrees()) if deg % p),
+                f"p={p}")
     else:
         s.skip("f_group_centralizer_degrees", "not an F-group p-group")
 
-    witness = None if quotient_consistency(G) else "commuting-graph quotient differs"
-    s.record("quotient_consistency", witness)
+    s.check("quotient_consistency", [] if quotient_consistency(G) else ["commuting-graph quotient differs"])
     return s.results
 
 
@@ -626,6 +563,8 @@ def run_suite(G: Group, suite: str = "all", *, seed: int = 0, samples: int = 200
         names = [suite]
     else:
         raise ValueError(f"unknown suite {suite!r} (expected one of {SUITES + ('all',)})")
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
     results: list[PropertyResult] = []
     for name in names:
         rng = random.Random(seed)

@@ -9,12 +9,12 @@ import csv
 import io
 from dataclasses import dataclass
 from functools import reduce
-from typing import Iterable, Optional, Sequence, Union
+from typing import Callable, Iterable, Optional, Sequence, Union
 
 import numpy as np
 
-from .centralizers import z_star_partition
-from .groups import Group, InvariantViolation, SetLike, per_group, subgroup_label
+from .centralizers import class_transversal, z_star_partition
+from .groups import Group, SetLike, per_group, subgroup_label
 from .lattice import CenterPoset, CentLattice, hasse_edges
 from .moebius import MoebiusTable
 from .sets import ElemSet, ids_from_mask
@@ -74,14 +74,16 @@ def _require_nonabelian(G: Group, kind: str) -> None:
         raise AbelianGroupError(f"{G.name} is abelian: the {kind} graph has an empty vertex set")
 
 
-def _commuting_subgraph(G: Group, kind: str, vmask: int) -> GroupGraph:
-    """The commuting graph induced on the non-central members of ``vmask``."""
+def _commuting_subgraph(G: Group, kind: str, vmask: int,
+                        label: Optional[Callable[[int], str]] = None) -> GroupGraph:
+    """The commuting graph induced on the non-central members of ``vmask``,
+    each vertex labelled by ``label(id)``, by default the element's label."""
     vmask &= ~G.center.mask
     verts = ids_from_mask(vmask)
     return GroupGraph(
         kind=kind,
         vertex_ids=verts,
-        labels=tuple(G.label(g) for g in verts),
+        labels=tuple(map(label or G.label, verts)),
         adjacency=tuple(G.cent_masks[g] & vmask & ~(1 << g) for g in verts),
     )
 
@@ -136,33 +138,15 @@ def _default_transversal_graph(G: Group) -> GroupGraph:
 
 @per_group
 def centralizer_graph(G: Group) -> GroupGraph:
-    """One vertex per proper element centralizer (keyed by its element center);
-    an edge joins distinct vertices when one's center lies in the other's
-    centralizer.  The one-sided rule is symmetric by duality; this is asserted
-    per pair."""
+    """One vertex per proper element centralizer, at its Z*-class's least
+    member and labelled by its element center; an edge joins distinct vertices
+    when one's center lies in the other's centralizer.  Z(y) <= C(x) iff x lies
+    in C(Z(y)) = C(C(C(y))) = C(y), so this is the commuting graph induced on
+    the class transversal."""
     _require_nonabelian(G, "centralizer")
-    classes = [c for c in z_star_partition(G) if c.cent.mask != G.full_mask]
-    reps = [c.representative for c in classes]
-    ecenters = [c.ecenter.mask for c in classes]
-    outside = [~c.cent.mask for c in classes]  # complements of the centralizers
-    adjacency = [0] * len(classes)
-    for i, (ei, oi) in enumerate(zip(ecenters, outside)):
-        for j in range(i + 1, len(classes)):
-            fwd = ecenters[j] & oi == 0
-            if fwd != (ei & outside[j] == 0):
-                raise InvariantViolation(
-                    "centralizer-graph adjacency is not symmetric "
-                    f"between classes of {G.label(reps[i])} and {G.label(reps[j])}"
-                )
-            if fwd:
-                adjacency[i] |= 1 << reps[j]
-                adjacency[j] |= 1 << reps[i]
-    return GroupGraph(
-        kind="centralizer",
-        vertex_ids=tuple(reps),
-        labels=tuple(subgroup_label(G, c.ecenter) for c in classes),
-        adjacency=tuple(adjacency),
-    )
+    ecenters = {c.representative: c.ecenter for c in z_star_partition(G)}
+    return _commuting_subgraph(G, "centralizer", class_transversal(G).mask,
+                               lambda g: subgroup_label(G, ecenters[g]))
 
 
 @per_group

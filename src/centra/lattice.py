@@ -181,13 +181,6 @@ class CenterPoset(_NodeOrder):
         self.class_sizes = tuple(class_sizes[node.mask] for node in self.nodes)
         self.min_index = self._index[group.center.mask]
 
-    @property
-    @per_group
-    def moebius_table(self):
-        """The MoebiusTable of this poset; see ``moebius.moebius``."""
-        from .moebius import _moebius_table  # moebius imports this module
-        return _moebius_table(self)
-
 
 @per_group
 def center_poset(G: Group) -> CenterPoset:

@@ -6,7 +6,7 @@ from dataclasses import dataclass, field, asdict
 from typing import Optional
 
 from .centralizers import z_star_partition
-from .groups import Group, InvariantViolation
+from .groups import Group, InvariantViolation, per_group
 from .lattice import CenterPoset, build_lattice, center_poset, is_f_group
 from .sets import ids_from_mask
 
@@ -23,13 +23,10 @@ class MoebiusTable:
         return self.mu[self.poset.index_of(node)]
 
 
+@per_group
 def moebius(P: CenterPoset) -> MoebiusTable:
     """mu by one pass over nodes sorted by subgroup size; computed once per
     CenterPoset."""
-    return P.moebius_table
-
-
-def _moebius_table(P: CenterPoset) -> MoebiusTable:
     n = len(P.nodes)
     mn = P.min_index
     below = P.below

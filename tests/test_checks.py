@@ -1,7 +1,9 @@
 """The property suites themselves: pinned output, and failures on a broken kernel."""
 
 import collections
+import copy
 import dataclasses
+import hashlib
 import itertools
 import math
 from functools import cached_property
@@ -183,3 +185,189 @@ def test_commuting_degree_oracle_catches_each_toggled_pair(request, monkeypatch,
         law = results["graphs/commuting_degree_formula"]
         assert law.failed and law.witness, (G.label(vids[i]), G.label(vids[j]))
     assert len(pairs) == {"D8": 15, "Q8": 15, "S4": 253}[key]
+
+
+# -- every witness pinned ---------------------------------------------------------
+
+
+def suite_outcomes(G, suites, seed=0):
+    """Per suite, its (name, status, detail, witness) results on G, or the
+    exception it raised."""
+    out = []
+    for suite in suites:
+        try:
+            out.append([dataclasses.astuple(r) for r in run_suite(G, suite, seed=seed)])
+        except (c.InvariantViolation, ValueError) as exc:
+            out.append(f"{type(exc).__name__}: {exc}")
+    return out
+
+
+def digest_and_failures(outcomes):
+    """sha256 of the outcomes' repr, and how many results failed."""
+    failed = sum(r[1] == "fail" for out in outcomes for res in out if isinstance(res, list) for r in res)
+    return hashlib.sha256(repr(outcomes).encode()).hexdigest(), failed
+
+
+# Every flip of D8 (tabulated branch), D16 and H3 (sampled branch). The algebra
+# suite, by far the slowest, runs on the flips in the listed masks only; the
+# graphs suite is left to test_flipped_masks_reach_the_graph_laws.
+FLIP_SWEEPS = [
+    pytest.param(key, masks, seed, digest, failed, id=f"{key}-seed{seed}")
+    for key, masks, seed, digest, failed in [
+        ("D8", None, 0, "dbba9bb48c7b19aa0b1e13329910035df28ee470c9cd3afb15a3f0129d3c6ff8", 319),
+        ("D8", None, 1, "dbba9bb48c7b19aa0b1e13329910035df28ee470c9cd3afb15a3f0129d3c6ff8", 319),
+        ("D16", ("a", "b"), 0, "46264713635578c4a2580572d2f8b8ac1fd0b7825592fd4af2f2f71bf0492490", 126),
+        ("D16", ("a", "b"), 1, "c26c2978410ad6b9765621fe76f075f2f0fb7a77c204b7bc056fe7ad1d44f2bc", 139),
+        ("H3", ("(0,1,0)",), 0, "87e588f7b49bcaef46bb052a209e43577e4a9084b469e3f98d12ac23951809e6", 99),
+        ("H3", ("(0,1,0)",), 1, "e3b4f9669c2b22de7407a6ac236ca953c6f86fdeaf7b7591a487aaffda7ad490", 121),
+    ]
+]
+
+
+@pytest.mark.parametrize("key,algebra_masks,seed,digest,failed", FLIP_SWEEPS)
+def test_flipped_mask_witnesses_pinned(fleet, key, algebra_masks, seed, digest, failed):
+    G = fleet[key]
+    rows = G.elements() if algebra_masks is None else [G.labels.index(g) for g in algebra_masks]
+    suites = ("lattice", "partition", "moebius")
+    outcomes = [
+        suite_outcomes(FlippedCentMasks(G, g, h), ("algebra",) * (g in rows) + suites, seed)
+        for g in G.elements()
+        for h in G.elements()
+    ]
+    assert digest_and_failures(outcomes) == (digest, failed)
+
+
+@pytest.mark.parametrize("key,reached", [("D8", 24), ("D16", 144), ("H3", 432)])
+def test_flipped_masks_reach_the_graph_laws(fleet, key, reached):
+    """The centralizer graph is read off the masks with no symmetry assertion,
+    so the flips whose other structures still build reach the graph laws, and
+    fail them with witnesses."""
+    G = fleet[key]
+    count = 0
+    for g in G.elements():
+        for h in G.elements():
+            try:
+                results = run_suite(FlippedCentMasks(G, g, h), "graphs")
+            except (c.InvariantViolation, ValueError):
+                continue
+            failed = [r for r in results if r.failed]
+            assert failed and all(r.witness for r in failed), (g, h)
+            count += 1
+    assert count == reached
+
+
+def replaced(obj, **attrs):
+    """A shallow copy of a lattice or poset with ``attrs`` replaced and no
+    derived structures."""
+    bad = copy.copy(obj)
+    bad.__dict__.update(attrs, _derived={})
+    return bad
+
+
+def wrong_lattices(lat):
+    """Lattice copies, for every pair of nodes a, b: with dual(a) copied over
+    dual(b), with the two duals swapped, and with the two nodes' indices
+    swapped; and with a wrong top or bottom."""
+    for a, b in itertools.permutations(range(len(lat.nodes)), 2):
+        dual = list(lat.dual)
+        dual[a] = lat.dual[b]
+        yield replaced(lat, dual=tuple(dual))
+        if a < b:
+            dual[b] = lat.dual[a]
+            yield replaced(lat, dual=tuple(dual))
+            index = dict(lat._index)
+            index[lat.nodes[a].mask], index[lat.nodes[b].mask] = b, a
+            yield replaced(lat, _index=index)
+    yield replaced(lat, top=lat.bottom, bottom=lat.top)
+    yield replaced(lat, bottom=lat.top)
+
+
+def wrong_partitions(classes):
+    """Z*-partition copies, for every ordered pair of classes a, b: with a's
+    greatest member moved to b, or also put in b; and, per class, with that
+    member dropped, or with its element center replaced by its centralizer."""
+    def top(cl):
+        return 1 << cl.members.mask.bit_length() - 1
+
+    def with_members(cl, mask):
+        return dataclasses.replace(cl, members=c.ElemSet(cl.members.universe_order, mask))
+
+    for a, b in itertools.permutations(range(len(classes)), 2):
+        moved = top(classes[a])
+        for keep in (False, True):
+            bad = list(classes)
+            if not keep:
+                bad[a] = with_members(classes[a], classes[a].members.mask ^ moved)
+            bad[b] = with_members(classes[b], classes[b].members.mask | moved)
+            yield tuple(bad)
+    for a, cl in enumerate(classes):
+        for bad_class in (with_members(cl, cl.members.mask ^ top(cl)),
+                          dataclasses.replace(cl, ecenter=cl.cent)):
+            yield classes[:a] + (bad_class,) + classes[a + 1:]
+
+
+def toggled_pairs(graph):
+    """Graph copies with one vertex pair's adjacency toggled, for every pair,
+    and one with its last vertex dropped."""
+    vids = graph.vertex_ids
+    for i, j in itertools.combinations(range(graph.vertex_count), 2):
+        adjacency = list(graph.adjacency)
+        adjacency[i] ^= 1 << vids[j]
+        adjacency[j] ^= 1 << vids[i]
+        yield dataclasses.replace(graph, adjacency=tuple(adjacency))
+    last = ~(1 << vids[-1])
+    yield dataclasses.replace(graph, vertex_ids=vids[:-1], labels=graph.labels[:-1],
+                              adjacency=tuple(m & last for m in graph.adjacency[:-1]))
+
+
+STRUCTURE_SWEEPS = {
+    "D8": ("b79fa61249e342cdfaab8da399b8de481a69003cdc2e98ffe61cba569d9d3959", 346),
+    "Q8": ("ca683648fbd3b40d3f3fba5c42829b50914cff23d872d64c67e28c172870b566", 346),
+    "H3": ("5d10252bc951d585f8c86bad6b4a7f0d3c0efbde7581a413c03d1e103efbf8a7", 1076),
+    "S4": ("6d1578a9fea4c27374341e596d6db49f1a598ad978322d9d42055bc64a7301f2", 4857),
+}
+
+
+@pytest.mark.parametrize("key", sorted(STRUCTURE_SWEEPS))
+def test_corrupted_structure_witnesses_pinned(request, monkeypatch, key):
+    """The suites on a sound group whose lattice, Z*-partition, poset, μ table
+    or graphs are swapped for corrupted copies."""
+    G = request.getfixturevalue(key.lower())
+    outcomes = []
+
+    def run(name, fake, suites):
+        monkeypatch.setattr(checks, name, fake)
+        outcomes.append(suite_outcomes(G, suites))
+        monkeypatch.undo()
+
+    for lat in wrong_lattices(c.build_lattice(G)):
+        run("build_lattice", lambda G, lat=lat: lat, ("lattice", "partition"))
+    for classes in wrong_partitions(c.z_star_partition(G)):
+        run("z_star_partition", lambda G, classes=classes: classes, ("partition",))
+    poset, table = c.center_poset(G), c.moebius(c.center_poset(G))
+    for i in range(len(poset.nodes)):
+        mu = list(table.mu)
+        mu[i] += 1
+        run("moebius", lambda P, bad=dataclasses.replace(table, mu=tuple(mu)): bad, ("moebius",))
+        monkeypatch.setattr(checks, "moebius", lambda P: table)
+        run("center_poset", lambda G, bad=replaced(poset, min_index=i): bad, ("moebius",))
+    for bad in toggled_pairs(c.commuting_graph(G)):
+        run("commuting_graph", lambda G, bad=bad: bad, ("graphs",))
+    sound = c.transversal_graph  # for the random transversal
+    for bad in toggled_pairs(c.transversal_graph(G)):
+        run("transversal_graph", lambda G, T=None, bad=bad: bad if T is None else sound(G, T), ("graphs",))
+    for bad in toggled_pairs(c.centralizer_graph(G)):
+        run("centralizer_graph", lambda G, bad=bad: bad, ("graphs",))
+    assert digest_and_failures(outcomes) == STRUCTURE_SWEEPS[key]
+
+
+def test_centralizer_graph_duality_reads_both_sides(s4, monkeypatch):
+    """Each pair's edge is compared with Z(j) <= C(i) and with Z(i) <= C(j): a
+    partition whose last class takes its centralizer for its element center
+    breaks only the first, for the pairs that end in that class."""
+    classes = c.z_star_partition(s4)
+    last = classes[-1]
+    bad = classes[:-1] + (dataclasses.replace(last, ecenter=last.cent),)
+    monkeypatch.setattr(checks, "z_star_partition", lambda G: bad)
+    law = {r.name: r for r in run_suite(s4, "graphs")}["graphs/centralizer_graph_duality"]
+    assert law.failed and law.witness.endswith(f",{s4.label(last.representative)}")

@@ -263,6 +263,14 @@ class TestExitCodes:
         assert res.stdout == ""
         assert res.stderr == f"centra: {gens}: degree must be positive, got {degree}\n"
 
+    @pytest.mark.parametrize("command", ["analyze", "verify"])
+    @pytest.mark.parametrize("samples", ["0", "-5"])
+    def test_samples_below_one_is_usage_error(self, command, samples):
+        res = run_cli(command, "--builtin", "dihedral:16", "--samples", samples)
+        assert res.returncode == 2
+        assert res.stdout == ""
+        assert res.stderr == f"centra: samples must be at least 1, got {samples}\n"
+
     def test_emit_to_unwritable_path_is_io_error(self, tmp_path):
         res = run_cli("emit", "--builtin", "dihedral:8", "lattice-dot", str(tmp_path / "no" / "dir.dot"))
         assert res.returncode == 3
