@@ -4,14 +4,15 @@ Each suite replays the theorem-backed invariants of its area on one group:
 exhaustively over the power set up to order ``EXHAUSTIVE_LIMIT``, and on
 seeded random samples above that (``samples`` cases per algebra law, drawn as
 masks from one numpy ``Generator`` seeded from the suite's ``random.Random``),
-so identical invocations always test identical cases.  Each law's
-counterexamples are a lazy stream of witness strings in case order; the law
-fails with the first one (``_Suite.check``).
+so identical invocations always test identical cases.  Each law fails with
+its first counterexample in case order: the first failing case of its array
+expression for an algebra law (``_first_case``), the first of a lazy stream
+of witness strings for the others (``_Suite.check``).
 """
 
 from __future__ import annotations
 
-import itertools
+import functools
 import random
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
@@ -118,124 +119,136 @@ def _sampled_pairs(gen: np.random.Generator, n: int, count: int) -> list[tuple[i
     return pairs
 
 
-def _centralizer_table(G: Group) -> list[int]:
-    """C(m) for every subset mask m, from C(m) = C(m minus its top bit) & C(top bit)."""
-    table = [G.full_mask]
+def _first_case(fail: np.ndarray, *cases) -> Optional[tuple[int, ...]]:
+    """The cases at the first True of ``fail`` in row-major order, which is
+    case order, as Python ints; None when no case fails."""
+    at = int(fail.argmax())
+    if not fail.flat[at]:
+        return None
+    index = np.unravel_index(at, fail.shape)
+    return tuple(int(np.broadcast_to(case, fail.shape)[index]) for case in cases)
+
+
+def _elementwise(fn: Callable[[int], object]) -> np.ufunc:
+    """``fn`` over every entry of an array of masks, memoised by mask."""
+    return np.frompyfunc(functools.cache(fn), 1, 1)
+
+
+def _centralizer_table(G: Group) -> np.ndarray:
+    """C(m) for every subset mask m, from C(m) = C(m minus its top bit) & C(top bit),
+    in the narrowest dtype that holds G's full mask."""
+    table = np.array([G.full_mask], dtype=np.min_scalar_type(G.full_mask))
     for cm in G.cent_masks:
-        table += [c & cm for c in table]
+        table = np.concatenate((table, table & cm))
     return table
 
 
-def _subset_pairs(n: int):
-    """Every pair (S, T) of subset masks with S <= T: T ascending, S descending."""
-    for t_mask in range(1 << n):
-        sub = t_mask
-        while True:
-            yield sub, t_mask
-            if sub == 0:
-                break
-            sub = (sub - 1) & t_mask
-
-
-class _Cases:
-    """A re-iterable stream of cases with a known count, never held as a list."""
-
-    def __init__(self, count: int, generate: Callable):
-        self.count = count
-        self.generate = generate
-
-    def __len__(self) -> int:
-        return self.count
-
-    def __iter__(self):
-        return self.generate()
+def _generated_table(G: Group, dtype) -> np.ndarray:
+    """The mask of <m> for every subset mask m, from <m> = <<m minus its top
+    bit>, top bit>, memoised by (subgroup, bit)."""
+    table = [1]  # <empty> = {identity}
+    joins: dict[tuple[int, int], int] = {}
+    for m in range(1, 1 << G.order):
+        bit = m.bit_length() - 1
+        key = (table[m ^ 1 << bit], bit)
+        if key not in joins:
+            joins[key] = subgroup_generated_by(G, ElemSet(G.order, key[0] | 1 << bit)).mask
+        table.append(joins[key])
+    return np.array(table, dtype=dtype)
 
 
 def algebra_suite(G: Group, rng: random.Random, samples: int) -> list[PropertyResult]:
+    """The closure-operator and Galois laws of C, each one array expression over
+    its cases: broadcast views of every subset mask up to order EXHAUSTIVE_LIMIT,
+    with C and <.> read from tables, else object arrays of sampled masks, with C
+    and <.> mapped over them.  A law fails with its first failing case."""
     s = _Suite("algebra")
     n = G.order
-    size = 1 << n
-    exhaustive = n <= EXHAUSTIVE_LIMIT
-    if exhaustive:
-        cm = _centralizer_table(G).__getitem__
-        pool = gen_pool = range(size)
-        pairs = _Cases(3**n, lambda: _subset_pairs(n))
-        collections = _Cases(
-            size * (size + 1) // 2,
-            lambda: ((a, b) for a in range(size) for b in range(a, size)),
-        )
-        gpairs = _Cases(size * size, lambda: itertools.product(range(size), repeat=2))
+    if n <= EXHAUSTIVE_LIMIT:
+        table = _centralizer_table(G)
+        cm, generated = table.__getitem__, _generated_table(G, table.dtype).__getitem__
+        pool = gen_pool = np.arange(1 << n, dtype=table.dtype)
+        row, col = pool[:, None], pool[None, :]
+        S, T = pool[None, ::-1], row  # T ascending, S descending within it
+        parts, width, in_collection = (row, col), 2, row <= col
+        A, B = row, col
     else:
-        cm = lambda mask: centralizer_mask(G, mask)
+        cm = _elementwise(lambda mask: centralizer_mask(G, mask))
+        generated = _elementwise(lambda mask: subgroup_generated_by(G, ElemSet(n, mask)).mask)
         gen = np.random.default_rng(rng.getrandbits(64))
-        pairs = _sampled_pairs(gen, n, samples)
-        pool = [t_mask for _, t_mask in pairs]
-        collections = [
-            tuple(_subset_masks(gen, n, int(gen.integers(1, 5)), n // 2)) for _ in range(samples)
-        ]
-        gen_pool = _subset_masks(gen, n, samples, min(n, 6))
-        gpairs = list(zip(_subset_masks(gen, n, samples, n), _subset_masks(gen, n, samples, n)))
+        S, T = (np.array(masks, dtype=object) for masks in zip(*_sampled_pairs(gen, n, samples)))
+        pool = T
+        collections = [_subset_masks(gen, n, int(gen.integers(1, 5)), n // 2) for _ in range(samples)]
+        width = np.array([len(coll) for coll in collections])
+        in_collection = width > 0
+        padded = np.zeros((samples, 4), dtype=object)  # the empty set is neutral below
+        for padded_row, coll in zip(padded, collections):
+            padded_row[: len(coll)] = coll
+        parts = tuple(padded.T)
+        gen_pool = np.array(_subset_masks(gen, n, samples, min(n, 6)), dtype=object)
+        A, B = (np.array(_subset_masks(gen, n, samples, n), dtype=object) for _ in range(2))
+
+    def law(name: str, fail: np.ndarray, witness: Callable[..., str], *cases, detail: str = "") -> None:
+        first = _first_case(fail, *cases)
+        s.record(name, first and witness(*first), detail)
+
+    shown = lambda *masks: " ".join(f"{key}={_mask_str(m)}" for key, m in zip("ST", masks))
+    subsets = f"{pool.size} subsets"
+    in_pair = (S & ~T) == 0
+    pairs = f"{np.count_nonzero(in_pair)} subset pairs"
+    c1 = cm(pool)
+    c2 = cm(c1)
 
     # C(empty) = C({1}) = G: the empty set and {1} both generate the trivial subgroup.
-    s.check("empty_set_centralizer",
-            (f"C({shown}) != G" for m, shown in ((0, "empty"), (1, "{0}")) if cm(m) != G.full_mask))
+    trivial = np.array([0, 1], dtype=pool.dtype)
+    law("empty_set_centralizer", cm(trivial) != G.full_mask,
+        lambda m: f"C({_mask_str(m) if m else 'empty'}) != G", trivial)
 
-    def not_subgroups():
-        is_group: dict[int, bool] = {}
-        for m in pool:
-            res = cm(m)
-            if res not in is_group:
-                is_group[res] = is_subgroup(G, ElemSet(n, res))
-            if not is_group[res]:
-                yield f"C({_mask_str(m)}) is not a subgroup"
-
-    s.check("centralizer_is_subgroup", not_subgroups(), f"{len(pool)} subsets")
+    is_group = _elementwise(lambda mask: is_subgroup(G, ElemSet(n, mask)))
+    law("centralizer_is_subgroup", ~is_group(c1).astype(bool),
+        lambda m: f"C({_mask_str(m)}) is not a subgroup", pool, detail=subsets)
 
     # Antitone law over ordered pairs S <= T.
-    s.check("antitone_containment",
-            (f"S={_mask_str(a)} T={_mask_str(b)}" for a, b in pairs if cm(b) & ~cm(a)),
-            f"{len(pairs)} subset pairs")
+    law("antitone_containment", in_pair & (cm(T) & ~cm(S) != 0), shown, S, T, detail=pairs)
 
     # Intersection law over pairs and a few wider collections.
-    def intersection_failures():
-        for coll in collections:
-            union = 0
-            inter = G.full_mask
-            for part in coll:
-                union |= part
-                inter &= cm(part)
-            if cm(union) != inter:
-                yield " ".join(_mask_str(part) for part in coll)
-
-    s.check("intersection_law", intersection_failures(), f"{len(collections)} collections")
+    union = functools.reduce(np.bitwise_or, parts)
+    inter = functools.reduce(np.bitwise_and, map(cm, parts))
+    law("intersection_law", in_collection & (cm(union) != inter),
+        lambda k, *coll: " ".join(map(_mask_str, coll[:k])), width, *parts,
+        detail=f"{np.count_nonzero(in_collection)} collections")
 
     # C(S) = C(<S>); generated subgroups kept small on purpose.
-    s.check("generated_subgroup_law",
-            (f"S={_mask_str(m)}" for m in gen_pool
-             if cm(m) != cm(subgroup_generated_by(G, ElemSet(n, m)).mask)),
-            f"{len(gen_pool)} subsets")
+    law("generated_subgroup_law", cm(gen_pool) != cm(generated(gen_pool)), shown, gen_pool,
+        detail=f"{gen_pool.size} subsets")
 
-    s.check("triple_centralizer",
-            (f"S={_mask_str(m)}" for m, first in zip(pool, map(cm, pool)) if cm(cm(first)) != first),
-            f"{len(pool)} subsets")
+    law("triple_centralizer", cm(c2) != c1, shown, pool, detail=subsets)
 
     # Galois: T <= C(S) iff S <= C(T), over arbitrary pairs.
-    s.check("galois_equivalence",
-            (f"S={_mask_str(a)} T={_mask_str(b)}" for a, b in gpairs
-             if (b & ~cm(a) == 0) != (a & ~cm(b) == 0)),
-            f"{len(gpairs)} pairs")
+    law("galois_equivalence", (B & ~cm(A) == 0) != (A & ~cm(B) == 0), shown, A, B,
+        detail=f"{np.broadcast(A, B).size} pairs")
 
     # Closure-operator axioms for C(C(.)).
-    clm = lambda mask: cm(cm(mask))
-    s.check("closure_extensive", (f"S={_mask_str(m)}" for m in pool if m & ~clm(m)),
-            f"{len(pool)} subsets")
-    s.check("closure_monotone",
-            (f"S={_mask_str(a)} T={_mask_str(b)}" for a, b in pairs if clm(a) & ~clm(b)),
-            f"{len(pairs)} subset pairs")
-    s.check("closure_idempotent",
-            (f"S={_mask_str(m)}" for m, once in zip(pool, map(clm, pool)) if clm(once) != once),
-            f"{len(pool)} subsets")
+    clm = lambda masks: cm(cm(masks))
+    law("closure_extensive", pool & ~c2 != 0, shown, pool, detail=subsets)
+    law("closure_monotone", in_pair & (clm(S) & ~clm(T) != 0), shown, S, T, detail=pairs)
+    law("closure_idempotent", clm(c2) != c2, shown, pool, detail=subsets)
     return s.results
+
+
+def _by_masks(op: Callable[[ElemSet, ElemSet], ElemSet]) -> Callable[[ElemSet, ElemSet], ElemSet]:
+    """``op(H, K)``, a function of the masks of H and K only, memoised by those
+    masks; a call that raises stores nothing, so it raises again when repeated."""
+    done: dict[tuple[int, int], ElemSet] = {}
+
+    def call(H: ElemSet, K: ElemSet) -> ElemSet:
+        key = (H.mask, K.mask)
+        found = done.get(key)
+        if found is None:
+            found = done[key] = op(H, K)
+        return found
+
+    return call
 
 
 def lattice_suite(G: Group, rng: random.Random, samples: int) -> list[PropertyResult]:
@@ -267,10 +280,12 @@ def lattice_suite(G: Group, rng: random.Random, samples: int) -> list[PropertyRe
 
     node_masks = [node.mask for node in nodes]
 
+    meet, join = _by_masks(lat.meet), _by_masks(lat.join)
+
     def meet_join_failures():
         for i, j in pair_idx:
             H, K = nodes[i], nodes[j]
-            m, jn = lat.meet(H, K), lat.join(H, K)
+            m, jn = meet(H, K), join(H, K)
             if m.mask != H.mask & K.mask:
                 yield f"meet({label(i)},{label(j)})"
             # Join must be the least node containing both.
@@ -287,7 +302,7 @@ def lattice_suite(G: Group, rng: random.Random, samples: int) -> list[PropertyRe
     ustar = lat.ustar
     s.check("ustar_intersection_law",
             (f"U*({label(i)} v {label(j)})" for i, j in pair_idx
-             if ustar[lat.index_of(lat.join(nodes[i], nodes[j]))].mask != ustar[i].mask & ustar[j].mask),
+             if ustar[lat.index_of(join(nodes[i], nodes[j]))].mask != ustar[i].mask & ustar[j].mask),
             f"{len(pair_idx)} node pairs")
 
     triples = [
@@ -295,7 +310,6 @@ def lattice_suite(G: Group, rng: random.Random, samples: int) -> list[PropertyRe
     ]
 
     def law_failures():
-        meet, join = lat.meet, lat.join
         for i, j, l in triples:
             H, K, L = nodes[i], nodes[j], nodes[l]
             if meet(H, H).mask != H.mask or join(H, H).mask != H.mask:

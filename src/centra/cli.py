@@ -103,6 +103,11 @@ def build_report(G: Group, source: str, *, samples: int = 120, seed: int = 0) ->
     witness = f_group_chain_witness(G)
     lat = build_lattice(G)
     poset = center_poset(G)
+    # The node labels and Hasse edges, which the artifacts (and a failing
+    # check's witness) read, are built with the other structures, so an emit
+    # after a report renders only and costs the same every time.
+    for order in (lat, poset):
+        order.labels, hasse_edges(order)
     mu = moebius(poset)
     classes = z_star_partition(G)
     notices: list[str] = []

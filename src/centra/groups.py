@@ -307,6 +307,12 @@ def _cyclic_mask(G: Group, g: int) -> int:
     return mask
 
 
+@per_group
+def _subgroup_labels(G: Group) -> dict[int, str]:
+    """``subgroup_label``'s results on G by mask, filled as they are asked for."""
+    return {}
+
+
 def subgroup_label(G: Group, H: SetLike) -> str:
     """Display label for a subgroup: the group name for G itself, ``1`` for the
     trivial subgroup, else ``<gens>`` from a deterministic generating set.
@@ -315,8 +321,20 @@ def subgroup_label(G: Group, H: SetLike) -> str:
     generator.  Otherwise the generators are chosen greedily: each is the
     least member of H not yet reached, adjoined to one growing closure
     (``_adjoin``) until all of H is reached.
+
+    A label depends on H's mask only, so it is memoised per group by mask:
+    a lattice, a poset and a graph labelling one subgroup work it out once.
+    A call that raises stores nothing.
     """
     H = G.elem_set(H)
+    known = _subgroup_labels(G)
+    label = known.get(H.mask)
+    if label is None:
+        label = known.setdefault(H.mask, _label_subgroup(G, H))
+    return label
+
+
+def _label_subgroup(G: Group, H: ElemSet) -> str:
     if H.mask == G.full_mask:
         return G.name
     members = H.members

@@ -11,8 +11,12 @@ from .sets import ElemSet, Subgroup, ids_from_mask
 NodeLike = Union[int, Subgroup, ElemSet]
 
 
-def _node_sort_key(mask: int) -> tuple[int, tuple[int, ...]]:
-    return (mask.bit_count(), ids_from_mask(mask))
+def _sorted_masks(order: int, masks) -> list[int]:
+    """Masks by size, then by ascending member list.  Of two masks of one size,
+    the one holding their lowest differing id comes first, so the member lists
+    compare as the complements' bit strings read from bit 0 up."""
+    full = (1 << order) - 1
+    return sorted(masks, key=lambda m: (m.bit_count(), format(full ^ m, f"0{order}b")[::-1]))
 
 
 class _NodeOrder:
@@ -27,7 +31,7 @@ class _NodeOrder:
 
     def __init__(self, group: Group, masks):
         self.group = group
-        masks = sorted(set(masks), key=_node_sort_key)
+        masks = _sorted_masks(group.order, set(masks))
         self.nodes: tuple[Subgroup, ...] = tuple(Subgroup(group.order, m) for m in masks)
         self._index = {m: i for i, m in enumerate(masks)}
         self._derived: dict = {}  # per_group; a cached_property would slow attribute reads
@@ -283,5 +287,5 @@ def all_subgroups(G: Group, limit_order: int = 64) -> tuple[Subgroup, ...]:
             if ext.mask not in seen:
                 seen.add(ext.mask)
                 worklist.append(ext)
-    masks = sorted(seen, key=_node_sort_key)
+    masks = _sorted_masks(G.order, seen)
     return tuple(Subgroup(G.order, m) for m in masks)

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator
 
+import numpy as np
+
 
 def ids_from_mask(mask: int) -> tuple[int, ...]:
     """Set bits of ``mask`` as ascending indices."""
@@ -35,12 +37,27 @@ class ElemSet:
 
     @classmethod
     def from_ids(cls, universe_order: int, ids: Iterable[int]) -> "ElemSet":
+        """The set of ``ids``, an iterable of integers (numpy ones included)
+        read once.  The range is checked once: one ``max`` before any shift,
+        so a huge id allocates nothing, and the shift refuses a negative id.
+        Only a bad id, or ids that are not Python ints (numpy scalars in a
+        list), take the id-by-id path, which names the first bad id."""
+        ids = ids.tolist() if isinstance(ids, np.ndarray) else list(ids)
         mask = 0
-        for i in ids:
-            i = int(i)
-            if not 0 <= i < universe_order:
-                raise ValueError(f"element id {i} out of range for universe of order {universe_order}")
-            mask |= 1 << i
+        try:
+            if ids and max(ids) >= universe_order:
+                mask = -1
+            else:
+                for i in ids:
+                    mask |= 1 << i
+        except (TypeError, ValueError, OverflowError):
+            mask = -1
+        if type(mask) is not int or mask < 0:
+            mask = 0
+            for i in map(int, ids):
+                if not 0 <= i < universe_order:
+                    raise ValueError(f"element id {i} out of range for universe of order {universe_order}")
+                mask |= 1 << i
         return cls(universe_order, mask)
 
     @classmethod

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import centra as c
+from centra.checks import EXHAUSTIVE_LIMIT, _mask_str, _sampled_pairs, _subset_masks, _Suite
 from centra.sets import ids_from_mask
 
 # -- naive oracles (definition-level, no bitmask shortcuts) -------------------
@@ -112,6 +113,11 @@ def pairwise_lattice_masks(G):
             masks.add(x)
             worklist.append(x)
     return masks
+
+
+def former_node_sort_key(mask):
+    """The former node order: by size, then by the ascending member list."""
+    return (mask.bit_count(), ids_from_mask(mask))
 
 
 def leq_up_sets(obj):
@@ -449,6 +455,117 @@ def naive_permutation_group(gens, degree=None):
     key_to_id = {row.tobytes(): i for i, row in enumerate(images)}
     table = [[key_to_id[row.tobytes()] for row in images[a][images]] for a in range(len(elems))]
     return table, tuple(e.cycle_string() for e in elems)
+
+
+def former_centralizer_table(G):
+    """C(m) for every subset mask m, as a list, from C(m) = C(m minus its top
+    bit) & C(top bit)."""
+    table = [G.full_mask]
+    for cm in G.cent_masks:
+        table += [c & cm for c in table]
+    return table
+
+
+def former_subset_pairs(n):
+    """Every pair (S, T) of subset masks with S <= T: T ascending, S descending."""
+    for t_mask in range(1 << n):
+        sub = t_mask
+        while True:
+            yield sub, t_mask
+            if sub == 0:
+                break
+            sub = (sub - 1) & t_mask
+
+
+class FormerCases:
+    """A re-iterable stream of cases with a known count, never held as a list."""
+
+    def __init__(self, count, generate):
+        self.count = count
+        self.generate = generate
+
+    def __len__(self):
+        return self.count
+
+    def __iter__(self):
+        return self.generate()
+
+
+def former_algebra_suite(G, rng, samples):
+    """``checks.algebra_suite`` as it was before its laws became array
+    expressions: generator loops over the same cases, in the same order."""
+    s = _Suite("algebra")
+    n = G.order
+    size = 1 << n
+    if n <= EXHAUSTIVE_LIMIT:
+        cm = former_centralizer_table(G).__getitem__
+        pool = gen_pool = range(size)
+        pairs = FormerCases(3**n, lambda: former_subset_pairs(n))
+        collections = FormerCases(
+            size * (size + 1) // 2,
+            lambda: ((a, b) for a in range(size) for b in range(a, size)),
+        )
+        gpairs = FormerCases(size * size, lambda: itertools.product(range(size), repeat=2))
+    else:
+        cm = lambda mask: c.centralizer_mask(G, mask)
+        gen = np.random.default_rng(rng.getrandbits(64))
+        pairs = _sampled_pairs(gen, n, samples)
+        pool = [t_mask for _, t_mask in pairs]
+        collections = [
+            tuple(_subset_masks(gen, n, int(gen.integers(1, 5)), n // 2)) for _ in range(samples)
+        ]
+        gen_pool = _subset_masks(gen, n, samples, min(n, 6))
+        gpairs = list(zip(_subset_masks(gen, n, samples, n), _subset_masks(gen, n, samples, n)))
+
+    s.check("empty_set_centralizer",
+            (f"C({shown}) != G" for m, shown in ((0, "empty"), (1, "{0}")) if cm(m) != G.full_mask))
+
+    def not_subgroups():
+        is_group = {}
+        for m in pool:
+            res = cm(m)
+            if res not in is_group:
+                is_group[res] = c.is_subgroup(G, c.ElemSet(n, res))
+            if not is_group[res]:
+                yield f"C({_mask_str(m)}) is not a subgroup"
+
+    s.check("centralizer_is_subgroup", not_subgroups(), f"{len(pool)} subsets")
+    s.check("antitone_containment",
+            (f"S={_mask_str(a)} T={_mask_str(b)}" for a, b in pairs if cm(b) & ~cm(a)),
+            f"{len(pairs)} subset pairs")
+
+    def intersection_failures():
+        for coll in collections:
+            union = 0
+            inter = G.full_mask
+            for part in coll:
+                union |= part
+                inter &= cm(part)
+            if cm(union) != inter:
+                yield " ".join(_mask_str(part) for part in coll)
+
+    s.check("intersection_law", intersection_failures(), f"{len(collections)} collections")
+    s.check("generated_subgroup_law",
+            (f"S={_mask_str(m)}" for m in gen_pool
+             if cm(m) != cm(c.subgroup_generated_by(G, c.ElemSet(n, m)).mask)),
+            f"{len(gen_pool)} subsets")
+    s.check("triple_centralizer",
+            (f"S={_mask_str(m)}" for m, first in zip(pool, map(cm, pool)) if cm(cm(first)) != first),
+            f"{len(pool)} subsets")
+    s.check("galois_equivalence",
+            (f"S={_mask_str(a)} T={_mask_str(b)}" for a, b in gpairs
+             if (b & ~cm(a) == 0) != (a & ~cm(b) == 0)),
+            f"{len(gpairs)} pairs")
+    clm = lambda mask: cm(cm(mask))
+    s.check("closure_extensive", (f"S={_mask_str(m)}" for m in pool if m & ~clm(m)),
+            f"{len(pool)} subsets")
+    s.check("closure_monotone",
+            (f"S={_mask_str(a)} T={_mask_str(b)}" for a, b in pairs if clm(a) & ~clm(b)),
+            f"{len(pairs)} subset pairs")
+    s.check("closure_idempotent",
+            (f"S={_mask_str(m)}" for m, once in zip(pool, map(clm, pool)) if clm(once) != once),
+            f"{len(pool)} subsets")
+    return s.results
 
 
 # -- fixtures ------------------------------------------------------------------

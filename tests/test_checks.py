@@ -6,6 +6,8 @@ import dataclasses
 import hashlib
 import itertools
 import math
+import random
+import tracemalloc
 from functools import cached_property
 
 import numpy as np
@@ -15,6 +17,7 @@ import centra as c
 from centra import checks
 from centra.checks import _sampled_pairs, _subset_masks, run_suite
 from centra.cli import build_report
+from conftest import former_algebra_suite
 
 # run_suite(G, "algebra") on any group of order 8, as (name, status, detail).
 ALGEBRA_ORDER_8 = [
@@ -123,6 +126,46 @@ def test_sampled_witnesses_follow_the_seed(fleet):
     witnesses = lambda seed: [(r.name, r.witness) for r in run_suite(bad, "algebra", seed=seed)]
     assert witnesses(3) == witnesses(3)
     assert len({tuple(witnesses(seed)) for seed in range(5)}) > 1
+
+
+def algebra_rows(suite, G, seed, samples):
+    return repr([dataclasses.astuple(r) for r in suite(G, random.Random(seed), samples)])
+
+
+@pytest.mark.parametrize("key", ["Q8", "C2xC2xC2", "S3"])
+def test_array_laws_match_former_suite_tabulated(small_groups, key):
+    """Every one-bit flip of the masks: the array laws over the tabulated power
+    set give the former loops' results, witnesses included, byte for byte."""
+    G = small_groups[key]
+    flips = [G] + [FlippedCentMasks(G, g, h) for g in G.elements() for h in G.elements()]
+    for bad in flips:
+        assert algebra_rows(checks.algebra_suite, bad, 0, 200) == algebra_rows(former_algebra_suite, bad, 0, 200)
+
+
+@pytest.mark.parametrize("key,g_label", [("D16", "a"), ("D16", "b"), ("H3", "(0,1,0)")])
+@pytest.mark.parametrize("samples", [1, 7, 200])
+def test_array_laws_match_former_suite_sampled(fleet, key, g_label, samples):
+    """The flips of one mask at seeds 0-2: the array laws over the sampled
+    object arrays give the former loops' results byte for byte."""
+    G = fleet[key]
+    g = G.labels.index(g_label)
+    for h in G.elements():
+        bad = FlippedCentMasks(G, g, h)
+        for seed in range(3):
+            assert (algebra_rows(checks.algebra_suite, bad, seed, samples)
+                    == algebra_rows(former_algebra_suite, bad, seed, samples)), (h, seed)
+
+
+def test_tabulated_laws_stay_small(d8):
+    """The laws broadcast views of the 2^n cases in uint8, never index arrays:
+    one run on order 8 allocates under 1 MB at its peak."""
+    tracemalloc.start()
+    try:
+        run_suite(d8, "algebra")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1 << 20, peak
 
 
 N, DRAWS = 10, 20_000

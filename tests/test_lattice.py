@@ -6,6 +6,7 @@ import centra as c
 from conftest import (
     ORDER_FLEET,
     by_label,
+    former_node_sort_key,
     former_transversal_error,
     label_set,
     leq_covers,
@@ -280,6 +281,24 @@ class TestOrderMasks:
         assert list(obj.above) == leq_up_sets(obj)
         assert list(obj.below) == leq_down_sets(obj)
         assert list(c.hasse_edges(obj)) == leq_covers(obj)
+
+
+class TestNodeOrder:
+    """Nodes by size, then by ascending member list, as the former key that
+    listed every member id sorted them."""
+
+    @pytest.mark.parametrize("kind", ["lattice", "poset"])
+    @pytest.mark.parametrize("name", ORDER_FLEET + ("UT4_3xC3",))
+    def test_matches_member_list_key(self, order_fleet, ut43xc3, name, kind):
+        G = ut43xc3 if name == "UT4_3xC3" else order_fleet[name]
+        obj = c.build_lattice(G) if kind == "lattice" else c.center_poset(G)
+        masks = [node.mask for node in obj.nodes]
+        assert masks == sorted(masks, key=former_node_sort_key)
+
+    def test_all_subgroups_match_member_list_key(self, small_groups):
+        for G in small_groups.values():
+            masks = [H.mask for H in c.all_subgroups(G)]
+            assert masks == sorted(masks, key=former_node_sort_key)
 
 
 class TestUStar:

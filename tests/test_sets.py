@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from centra.sets import ElemSet, Subgroup, ids_from_mask
@@ -24,6 +25,48 @@ def test_out_of_range_id_rejected():
         ElemSet.from_ids(4, [4])
     with pytest.raises(ValueError, match="outside the universe"):
         ElemSet(4, 1 << 4)
+
+
+@pytest.mark.parametrize("ids,bad", [
+    ([1, -2, 3], -2),     # negative
+    ([2, 4, -1], 4),      # equal to the order; the first bad id in input order is named
+    ([0, 9, 4], 9),
+])
+def test_out_of_range_message_names_first_bad_id(ids, bad):
+    message = f"element id {bad} out of range for universe of order 4"
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        ElemSet.from_ids(4, ids)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        ElemSet.from_ids(4, np.array(ids))
+
+
+def test_generator_input_read_once():
+    reads = []
+
+    def ids():
+        for i in (5, 0, 11, 3, 5):
+            reads.append(i)
+            yield i
+
+    assert ElemSet.from_ids(12, ids()).members == (0, 3, 5, 11)
+    assert reads == [5, 0, 11, 3, 5]
+    with pytest.raises(ValueError, match="element id 12 out"):
+        ElemSet.from_ids(12, (i for i in (1, 12, -1)))
+
+
+def test_numpy_ids_accepted():
+    ids = np.array([3, 70, 99, 0], dtype=np.int64)
+    expected = (0, 3, 70, 99)
+    assert ElemSet.from_ids(100, ids).members == expected
+    assert ElemSet.from_ids(100, ids.astype(np.uint16)).members == expected
+    assert ElemSet.from_ids(100, list(ids)).members == expected  # numpy scalars in a list
+    assert ElemSet.from_ids(100, [1 << 6, np.int64(99)]).members == (64, 99)
+    assert ElemSet.from_ids(100, np.array([], dtype=np.int64)) == ElemSet.empty(100)
+
+
+def test_huge_id_refused():
+    with pytest.raises(ValueError, match=f"element id {10**30} out of range"):
+        ElemSet.from_ids(8, [1, 10**30])
 
 
 def test_bad_universe():

@@ -7,7 +7,7 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 
 import centra as c
-from centra import graphs, lattice
+from centra import graphs, groups, lattice
 from centra.cli import build_report
 
 
@@ -147,3 +147,18 @@ def test_s6_report_evaluates_u_star_once_per_lattice_node():
     G = c.builtin_group("symmetric", 6)
     assert evaluations(c.u_star, lambda: build_report(G, G.name)) == len(c.build_lattice(G))
     assert evaluations(c.u_star, lambda: build_report(G, G.name)) == 0
+
+
+@pytest.mark.parametrize("make", [
+    pytest.param(lambda: c.builtin_group("dihedral", 8), id="D8"),
+    pytest.param(lambda: c.builtin_group("symmetric", 4), id="S4"),
+])
+def test_report_labels_each_node_once_and_leaves_emits_only_rendering(make):
+    """The report labels every lattice and poset node, each distinct subgroup
+    once, and computes both orders' Hasse covers; an emit after it does neither."""
+    G = make()
+    labelled = evaluations(groups._label_subgroup, lambda: build_report(G, G.name))
+    nodes = c.build_lattice(G).nodes + c.center_poset(G).nodes
+    assert labelled == len({node.mask for node in nodes})
+    for fn in (groups._label_subgroup, lattice._hasse_covers):
+        assert evaluations(fn, lambda: emit_artifacts(G)) == 0
