@@ -1,8 +1,8 @@
 """The centralizer map, its double-centralizer closure, and the Z*-partition.
 
 Every operation here reduces to intersections of the per-element centralizer
-bitmasks cached on the group, so subsets are cheap to process even when they
-are large.
+bitmasks cached on the group.  Members of one Z*-class share their mask, so
+C(S) is one AND per class that S meets, and large subsets stay cheap.
 """
 
 from __future__ import annotations
@@ -14,18 +14,22 @@ from .sets import ElemSet, Subgroup
 
 
 def centralizer_mask(G: Group, mask: int) -> int:
-    """Bitmask of C_G(S) for the subset S with bitmask ``mask``; 0 gives G."""
+    """Bitmask of C_G(S) for the subset S with bitmask ``mask``; 0 gives G.
+
+    One AND per Z*-class that S meets: the least member's centralizer is every
+    member's, so the whole class leaves the mask at once."""
     if mask < 0 or mask >> G.order:
         raise ValueError(f"mask has bits outside the group of order {G.order}")
     result = G.full_mask
     zmask = G.center.mask
     cms = G.cent_masks
+    class_of, outside = G._zstar_buckets
     while mask:
-        low = mask & -mask
-        result &= cms[low.bit_length() - 1]
+        g = (mask & -mask).bit_length() - 1
+        result &= cms[g]
         if result == zmask:
             break  # the intersection can never drop below Z(G)
-        mask ^= low
+        mask &= outside[class_of[g]]
     return result
 
 
@@ -45,10 +49,9 @@ def element_center(G: Group, g: int) -> Subgroup:
 
 
 def is_abelian_subset(G: Group, S: SetLike) -> bool:
-    """True iff the members of S pairwise commute."""
-    S = G.elem_set(S)
-    cms = G.cent_masks
-    return all(S.mask & ~cms[m] == 0 for m in S)
+    """True iff the members of S pairwise commute, that is, S <= C_G(S)."""
+    mask = G.elem_set(S).mask
+    return mask & ~centralizer_mask(G, mask) == 0
 
 
 def is_closed_abelian_iff(G: Group, S: SetLike) -> tuple[bool, bool]:
@@ -78,31 +81,19 @@ def z_star_partition(G: Group) -> tuple[CentClass, ...]:
 
     The class of any central element is exactly Z(G).
     """
-    buckets: dict[int, int] = {}
-    masks: list[int] = []
-    member_masks: list[int] = []
-    for g in G.elements():
-        cm = G.cent_masks[g]
-        idx = buckets.get(cm)
-        if idx is None:
-            buckets[cm] = len(masks)
-            masks.append(cm)
-            member_masks.append(0)
-            idx = len(masks) - 1
-        member_masks[idx] |= 1 << g
     classes = []
-    for cm, mm in zip(masks, member_masks):
+    for outside in G._zstar_buckets[1]:
+        mm = G.full_mask ^ outside
         rep = (mm & -mm).bit_length() - 1
-        ecm = centralizer_mask(G, cm)
+        cm = G.cent_masks[rep]
         classes.append(
             CentClass(
                 representative=rep,
                 members=ElemSet(G.order, mm),
                 cent=Subgroup(G.order, cm),
-                ecenter=Subgroup(G.order, ecm),
+                ecenter=Subgroup(G.order, centralizer_mask(G, cm)),
             )
         )
-    classes.sort(key=lambda c: c.representative)
     return tuple(classes)
 
 

@@ -119,6 +119,13 @@ def _sampled_pairs(gen: np.random.Generator, n: int, count: int) -> list[tuple[i
     return pairs
 
 
+def _word_rows(masks: list[int], n: int) -> np.ndarray:
+    """The masks of subsets of range(n) as rows of little-endian uint64 words."""
+    words = (n + 63) // 64
+    data = b"".join(m.to_bytes(8 * words, "little") for m in masks)
+    return np.frombuffer(data, dtype="<u8").reshape(len(masks), words)
+
+
 def _first_case(fail: np.ndarray, *cases) -> Optional[tuple[int, ...]]:
     """The cases at the first True of ``fail`` in row-major order, which is
     case order, as Python ints; None when no case fails."""
@@ -535,18 +542,24 @@ def graphs_suite(G: Group, rng: random.Random, samples: int) -> list[PropertyRes
             [] if cg.vertex_count == len(classes) else ["vertex count != proper centralizers"])
 
     # Each pair is adjacent iff Z(j) <= C(i), iff Z(i) <= C(j): the duality.
-    cg_edges = set(cg.edges)
-    ecenters = [a.ecenter.mask for a in classes]
-    outside = [~b.cent.mask for b in classes]
-    reps = [G.label(c.representative) for c in classes]
-
-    def duality_failures():
-        for i, (zi, oi) in enumerate(zip(ecenters, outside)):
-            for j in range(i + 1, len(classes)):
-                if not ((i, j) in cg_edges) == (ecenters[j] & oi == 0) == (zi & outside[j] == 0):
-                    yield f"pair {reps[i]},{reps[j]}"
-
-    s.check("centralizer_graph_duality", duality_failures())
+    # escapes[j, i] is Z(j) not inside C(i), from the classes' masks alone: an
+    # OR over 64-bit words, each over the classes whose Z has members there.
+    k = len(classes)
+    Z = _word_rows([a.ecenter.mask for a in classes], G.order)
+    O = ~_word_rows([b.cent.mask for b in classes], G.order)
+    escapes = np.zeros((k, k), dtype=bool)
+    for w in range(Z.shape[1]):
+        rows = np.flatnonzero(Z[:, w])
+        escapes[rows] |= (Z[rows, w, None] & O[None, :, w]) != 0
+    outside = escapes.T
+    edge = np.zeros((k, k), dtype=bool)
+    pairs = np.array(cg.edges, dtype=np.intp).reshape(-1, 2)
+    pairs = pairs[pairs[:, 1] < k]  # a graph with more vertices than classes
+    edge[pairs[:, 0], pairs[:, 1]] = True
+    bad = np.argwhere(np.triu((edge == outside) | (outside != escapes), 1))
+    s.check("centralizer_graph_duality",
+            (f"pair {G.label(classes[i].representative)},{G.label(classes[j].representative)}"
+             for i, j in bad[:1].tolist()))
 
     p = p_group_prime(G.order)
     if p is not None and is_f_group(G):

@@ -155,10 +155,9 @@ def quotient_consistency(G: Group) -> bool:
     per group: two classes are adjacent in the quotient when the OR of one's
     members' commuting adjacency masks meets the other."""
     _require_nonabelian(G, "quotient")
-    classes = z_star_partition(G)
-    class_of = {g: k for k, c in enumerate(classes) for g in c.members}
+    class_of, outside = G._zstar_buckets
     com = commuting_graph(G)
-    met = [0] * len(classes)
+    met = [0] * len(outside)
     for v, m in zip(com.vertex_ids, com.adjacency):
         met[class_of[v]] |= m
     quotient_edges = set()
@@ -169,7 +168,7 @@ def quotient_consistency(G: Group) -> bool:
             j = class_of[(m & -m).bit_length() - 1]
             if j != k:
                 quotient_edges.add((min(j, k), max(j, k)))
-            m &= ~classes[j].members.mask
+            m &= outside[j]
     return quotient_edges == {(i + 1, j + 1) for i, j in centralizer_graph(G).edges}
 
 

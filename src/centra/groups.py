@@ -193,6 +193,22 @@ class Group:
         return tuple(_bool_row_mask(comm[g]) for g in range(self.order))
 
     @cached_property
+    def _zstar_buckets(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """The elements grouped by equal ``cent_masks`` value, that is, the
+        Z*-classes, numbered by least member: (class index of each element,
+        complement in G of each class's members)."""
+        index: dict[int, int] = {}
+        class_of = []
+        members: list[int] = []
+        for g, cm in enumerate(self.cent_masks):
+            k = index.setdefault(cm, len(members))
+            if k == len(members):
+                members.append(0)
+            members[k] |= 1 << g
+            class_of.append(k)
+        return tuple(class_of), tuple(self.full_mask ^ m for m in members)
+
+    @cached_property
     def center(self) -> Subgroup:
         mask = self.full_mask
         for cm in self.cent_masks:

@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field, asdict
-from typing import Optional
+from functools import wraps
+from typing import Callable, Optional
 
 from .centralizers import z_star_partition
 from .groups import Group, InvariantViolation, per_group
@@ -107,9 +108,27 @@ def _require_p_group(G: Group, p: Optional[int], *, nonabelian: bool = False,
     return inferred
 
 
-def check_class_size_congruence(G: Group, p: Optional[int] = None) -> CongruenceReport:
+def _once_per_group(**requires) -> Callable:
+    """Build a congruence report once per group, at the group's own prime.
+    Every call first runs ``_require_p_group`` with ``requires``, so a wrong
+    p, or a group the check does not apply to, raises on every call."""
+
+    def decorate(check: Callable[[Group, int], CongruenceReport]) -> Callable:
+        built = per_group(lambda G: check(G, p_group_prime(G.order)))
+
+        @wraps(check)
+        def call(G: Group, p: Optional[int] = None) -> CongruenceReport:
+            _require_p_group(G, p, **requires)
+            return built(G)
+
+        return call
+
+    return decorate
+
+
+@_once_per_group()
+def check_class_size_congruence(G: Group, p: int) -> CongruenceReport:
     """Per Z*-class: |Z*(g)| / |Z(G)| = mu(Z(g)) mod p."""
-    p = _require_p_group(G, p)
     poset = center_poset(G)
     table = moebius(poset)
     z_order = len(G.center)
@@ -128,7 +147,8 @@ def check_class_size_congruence(G: Group, p: Optional[int] = None) -> Congruence
     return report
 
 
-def check_mob_sums(G: Group, p: Optional[int] = None) -> CongruenceReport:
+@_once_per_group(nonabelian=True)
+def check_mob_sums(G: Group, p: int) -> CongruenceReport:
     """Both Möbius sum congruences over the centralizer lattice.
 
     For every lattice node H properly containing Z(G), the mu-sum over
@@ -136,7 +156,6 @@ def check_mob_sums(G: Group, p: Optional[int] = None) -> CongruenceReport:
     H properly inside G, the mu-sum over proper element centralizers
     containing H (evaluated at their centers) is -1 mod p.
     """
-    p = _require_p_group(G, p, nonabelian=True)
     lat = build_lattice(G)
     poset = center_poset(G)
     table = moebius(poset)
@@ -159,7 +178,8 @@ def check_mob_sums(G: Group, p: Optional[int] = None) -> CongruenceReport:
     return report
 
 
-def check_f_group_counts(G: Group, p: Optional[int] = None) -> CongruenceReport:
+@_once_per_group(nonabelian=True, f_group=True)
+def check_f_group_counts(G: Group, p: int) -> CongruenceReport:
     """F-group counting congruences.
 
     Per proper element centralizer H: the number of non-central element
@@ -167,7 +187,6 @@ def check_f_group_counts(G: Group, p: Optional[int] = None) -> CongruenceReport:
     element centralizers containing H is 1 mod p; and |Z(G)-centers| is
     1 mod p.  Also records that mu = -1 at every non-minimal node.
     """
-    p = _require_p_group(G, p, nonabelian=True, f_group=True)
     poset = center_poset(G)
     table = moebius(poset)
     full = G.full_mask

@@ -1,8 +1,8 @@
 """Element-id subsets of a fixed finite universe, stored as int bitmasks.
 
 Set algebra on these is the workhorse of every centralizer computation:
-a centralizer of a set is one big-int AND per member, so Python's
-arbitrary-precision integers act as dense bit vectors.
+a centralizer of a set is one big-int AND per Z*-class the set meets, so
+Python's arbitrary-precision integers act as dense bit vectors.
 """
 
 from __future__ import annotations

@@ -6,6 +6,7 @@ import csv
 import io
 import itertools
 import os
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -25,6 +26,53 @@ def naive_centralizer(G, ids):
         for x in G.elements()
         if all(G.mul(x, s) == G.mul(s, x) for s in ids)
     }
+
+
+def former_centralizer_mask(G, mask):
+    """``centralizer_mask`` as it was before it stepped over Z*-classes: one
+    AND per member of the set, stopping at Z(G)."""
+    if mask < 0 or mask >> G.order:
+        raise ValueError(f"mask has bits outside the group of order {G.order}")
+    result = G.full_mask
+    zmask = G.center.mask
+    cms = G.cent_masks
+    while mask:
+        low = mask & -mask
+        result &= cms[low.bit_length() - 1]
+        if result == zmask:
+            break
+        mask ^= low
+    return result
+
+
+def former_z_star_partition(G):
+    """The Z*-partition by the former bucket loop, as (representative,
+    members, centralizer, element center) masks per class in representative
+    order; element centers by ``former_centralizer_mask``."""
+    buckets = {}
+    for g in G.elements():
+        buckets[G.cent_masks[g]] = buckets.get(G.cent_masks[g], 0) | 1 << g
+    classes = [
+        ((mm & -mm).bit_length() - 1, mm, cm, former_centralizer_mask(G, cm))
+        for cm, mm in buckets.items()
+    ]
+    return sorted(classes)
+
+
+class FlippedCentMasks(c.Group):
+    """A copy of a group whose cached centralizer masks carry one flipped bit:
+    element h is toggled in the mask of C_G(g)."""
+
+    def __init__(self, G, g, h):
+        super().__init__(G.table, G.labels, G.name)
+        self.flip = (g, h)
+
+    @cached_property
+    def cent_masks(self):
+        g, h = self.flip
+        cms = list(c.Group.cent_masks.func(self))
+        cms[g] ^= 1 << h
+        return tuple(cms)
 
 
 def naive_center(G):
@@ -215,6 +263,20 @@ def naive_centralizer_graph_edges(G):
         if classes[j].ecenter.issubset(a.cent)
     ]
     return tuple(cl.representative for cl in classes), tuple(edges)
+
+
+def former_duality_witness(G, classes, cg):
+    """The first witness of ``centralizer_graph_duality`` by the former pair
+    loop over ``classes`` (the partition the suite read) and the graph ``cg``:
+    each pair's edge against Z(j) <= C(i) and Z(i) <= C(j); None if all agree."""
+    classes = [cl for cl in classes if cl.cent.mask != G.full_mask]
+    cg_edges = set(cg.edges)
+    for i, a in enumerate(classes):
+        for j in range(i + 1, len(classes)):
+            b = classes[j]
+            if not ((i, j) in cg_edges) == (b.ecenter.mask & ~a.cent.mask == 0) == (a.ecenter.mask & ~b.cent.mask == 0):
+                return f"pair {G.label(a.representative)},{G.label(b.representative)}"
+    return None
 
 
 def naive_degrees(vertex_count, edges):

@@ -1,10 +1,14 @@
 import random
+import re
 
 import pytest
 
 import centra as c
 from conftest import (
+    FlippedCentMasks,
     by_label,
+    former_centralizer_mask,
+    former_z_star_partition,
     label_set,
     naive_abelian_subset,
     naive_centralizer,
@@ -68,6 +72,99 @@ class TestCentralizerMask:
         for bad in (1 << 8, -1):
             with pytest.raises(ValueError, match="outside"):
                 c.centralizer_mask(d8, bad)
+
+
+class CountedMasks(tuple):
+    """A tuple of centralizer masks that counts its indexed reads."""
+
+    reads = 0
+
+    def __getitem__(self, g):
+        type(self).reads += 1
+        return super().__getitem__(g)
+
+
+class CountedCentMasks(c.Group):
+    """A copy of a group whose ``cent_masks`` count the masks read by index."""
+
+    def __init__(self, G):
+        super().__init__(G.table, G.labels, G.name)
+        self.cent_masks = CountedMasks(G.cent_masks)
+
+
+def random_band_masks(G, rng, count=500):
+    """``count`` random masks in each size band: up to 8 ids, up to 64, up to
+    half of G, and above half."""
+    n = G.order
+    for lo, hi in ((1, 8), (9, 64), (65, n // 2), (n // 2 + 1, n)):
+        for _ in range(count):
+            yield mask_from_ids(rng.sample(range(n), rng.randint(lo, hi)))
+
+
+class TestClassKernel:
+    """``centralizer_mask`` ANDs one centralizer per Z*-class it meets: the
+    same masks as the former one-AND-per-member loop, for any ``cent_masks``."""
+
+    def test_matches_former_loop_on_small_groups(self, small_groups):
+        for G in small_groups.values():
+            for m in range(1 << G.order):
+                assert c.centralizer_mask(G, m) == former_centralizer_mask(G, m), (G.name, m)
+
+    def test_matches_former_loop_on_flipped_d8(self, d8):
+        for g in d8.elements():
+            for h in d8.elements():
+                bad = FlippedCentMasks(d8, g, h)
+                for m in range(1 << d8.order):
+                    assert c.centralizer_mask(bad, m) == former_centralizer_mask(bad, m), (g, h, m)
+
+    def test_abelian_subset_matches_member_loop_on_flipped_d8(self, d8):
+        for g in d8.elements():
+            for h in d8.elements():
+                bad = FlippedCentMasks(d8, g, h)
+                for m in range(1 << d8.order):
+                    members = ids_from_mask(m)
+                    expected = all(m & ~bad.cent_masks[x] == 0 for x in members)
+                    assert c.is_abelian_subset(bad, members) == expected, (g, h, m)
+
+    @pytest.mark.parametrize("key", ["H3xH3", "UT43xC3", "S6"])
+    def test_matches_former_loop_on_large_groups(self, key, fleet, ut43xc3, order_fleet):
+        G = {"H3xH3": fleet["H3xH3"], "UT43xC3": ut43xc3, "S6": order_fleet["S6"]}[key]
+        masks = [node.mask for node in c.build_lattice(G).nodes]
+        for cl in c.z_star_partition(G):
+            masks += [cl.cent.mask, cl.ecenter.mask]
+        masks += random_band_masks(G, random.Random(12))
+        for m in masks:
+            assert c.centralizer_mask(G, m) == former_centralizer_mask(G, m)
+
+    def test_one_read_per_class_met(self, h3):
+        G = CountedCentMasks(h3)
+        G.center, G._zstar_buckets  # built before counting
+        classes = c.z_star_partition(G)
+        for cl in classes:
+            CountedMasks.reads = 0
+            assert c.centralizer_mask(G, cl.members.mask) == cl.cent.mask
+            assert CountedMasks.reads == 1
+        for node in c.build_lattice(G).nodes:
+            CountedMasks.reads = 0
+            c.centralizer_mask(G, node.mask)
+            met = sum(1 for cl in classes if cl.members.mask & node.mask)
+            assert CountedMasks.reads <= met
+
+    def test_same_errors_as_former_loop(self, fleet):
+        for G in (fleet["D8"], fleet["H3xH3"]):
+            for bad in (-1, -(1 << G.order), 1 << G.order, G.full_mask + 1, 1 << (G.order + 70)):
+                with pytest.raises(ValueError) as former:
+                    former_centralizer_mask(G, bad)
+                with pytest.raises(ValueError, match=f"^{re.escape(str(former.value))}$"):
+                    c.centralizer_mask(G, bad)
+
+    def test_partition_unchanged(self, order_fleet, small_groups, d8):
+        flips = [FlippedCentMasks(d8, g, h) for g in d8.elements() for h in d8.elements()]
+        groups = [*order_fleet.values(), *small_groups.values(), *flips]
+        for G in groups:
+            classes = [(cl.representative, cl.members.mask, cl.cent.mask, cl.ecenter.mask)
+                       for cl in c.z_star_partition(G)]
+            assert classes == former_z_star_partition(G), G.name
 
 
 class TestClosure:

@@ -8,7 +8,6 @@ import itertools
 import math
 import random
 import tracemalloc
-from functools import cached_property
 
 import numpy as np
 import pytest
@@ -17,7 +16,7 @@ import centra as c
 from centra import checks
 from centra.checks import _sampled_pairs, _subset_masks, run_suite
 from centra.cli import build_report
-from conftest import former_algebra_suite
+from conftest import FlippedCentMasks, former_algebra_suite, former_duality_witness
 
 # run_suite(G, "algebra") on any group of order 8, as (name, status, detail).
 ALGEBRA_ORDER_8 = [
@@ -32,22 +31,6 @@ ALGEBRA_ORDER_8 = [
     ("algebra/closure_monotone", "pass", "6561 subset pairs"),
     ("algebra/closure_idempotent", "pass", "256 subsets"),
 ]
-
-
-class FlippedCentMasks(c.Group):
-    """A copy of a group whose cached centralizer masks carry one flipped bit:
-    element h is toggled in the mask of C_G(g)."""
-
-    def __init__(self, G: c.Group, g: int, h: int):
-        super().__init__(G.table, G.labels, G.name)
-        self.flip = (g, h)
-
-    @cached_property
-    def cent_masks(self) -> tuple[int, ...]:
-        g, h = self.flip
-        cms = list(c.Group.cent_masks.func(self))
-        cms[g] ^= 1 << h
-        return tuple(cms)
 
 
 def failures(G):
@@ -414,3 +397,35 @@ def test_centralizer_graph_duality_reads_both_sides(s4, monkeypatch):
     monkeypatch.setattr(checks, "z_star_partition", lambda G: bad)
     law = {r.name: r for r in run_suite(s4, "graphs")}["graphs/centralizer_graph_duality"]
     assert law.failed and law.witness.endswith(f",{s4.label(last.representative)}")
+
+
+def test_centralizer_graph_duality_reads_the_transpose(s4, monkeypatch):
+    """A partition whose last class takes its element center for its
+    centralizer breaks only Z(i) <= C(j), for the pairs that end in that class."""
+    classes = c.z_star_partition(s4)
+    last = classes[-1]
+    bad = classes[:-1] + (dataclasses.replace(last, cent=last.ecenter),)
+    monkeypatch.setattr(checks, "z_star_partition", lambda G: bad)
+    law = {r.name: r for r in run_suite(s4, "graphs")}["graphs/centralizer_graph_duality"]
+    assert law.failed and law.witness.endswith(f",{s4.label(last.representative)}")
+
+
+@pytest.mark.parametrize("key", ["d8", "q8", "h3", "s4"])
+def test_duality_word_kernel_matches_former_pair_loop(request, monkeypatch, key):
+    """The duality law on corrupted partitions (those of the structure sweeps,
+    and each class with its element center for its centralizer) and on
+    corrupted centralizer graphs gives the former pair loop's first witness."""
+    G = request.getfixturevalue(key)
+    classes, cg = c.z_star_partition(G), c.centralizer_graph(G)
+    cases = [(bad, cg) for bad in wrong_partitions(classes)]
+    cases += [(classes[:a] + (dataclasses.replace(cl, cent=cl.ecenter),) + classes[a + 1:], cg)
+              for a, cl in enumerate(classes)]
+    cases += [(classes, bad) for bad in toggled_pairs(cg)]
+    witnesses = set()
+    for bad_classes, bad_cg in cases:
+        monkeypatch.setattr(checks, "z_star_partition", lambda G, bad=bad_classes: bad)
+        monkeypatch.setattr(checks, "centralizer_graph", lambda G, bad=bad_cg: bad)
+        law = {r.name: r for r in run_suite(G, "graphs")}["graphs/centralizer_graph_duality"]
+        assert law.witness == former_duality_witness(G, bad_classes, bad_cg)
+        witnesses.add(law.witness)
+    assert None in witnesses and len(witnesses) > 2

@@ -153,6 +153,48 @@ class TestFGroupCounts:
             c.check_f_group_counts(fleet["D8xD8"])
 
 
+class TestOncePerGroup:
+    """Each congruence report is built once per group, at its own prime; the
+    refusals run on every call."""
+
+    CHECKS = (c.check_class_size_congruence, c.check_mob_sums, c.check_f_group_counts)
+
+    def test_second_call_returns_same_report(self, fleet):
+        for key in ("D8", "Q8", "H3"):
+            G = fleet[key]
+            for check in self.CHECKS:
+                first = check(G)
+                assert check(G) is first and check(G, p_group_prime(G.order)) is first
+                assert first.p == p_group_prime(G.order)
+
+    def test_memo_is_per_group(self, d8):
+        twin = c.Group(d8.table, d8.labels, d8.name)
+        for check in self.CHECKS:
+            assert check(twin) is not check(d8)
+            assert check(twin).as_dict() == check(d8).as_dict()
+
+    def test_refusals_unchanged_after_a_report(self, fleet, s4):
+        refusals = [
+            (check, G, p, match)
+            for check in self.CHECKS
+            for G, p, match in ((fleet["D8"], 3, "not a power of p=3"), (s4, None, "not a p-group"))
+        ]
+        abelian = c.builtin_group("cyclic", 8)
+        refusals += [(check, abelian, None, "abelian") for check in self.CHECKS[1:]]
+        refusals.append((c.check_f_group_counts, fleet["D8xD8"], None, "not an F-group"))
+        for check, G, p, match in refusals:
+            for _ in range(2):
+                with pytest.raises(ValueError, match=match):
+                    check(G, p)
+        c.check_class_size_congruence(abelian)  # a p-group: its report is memoised
+        for G in (fleet["D8"], fleet["D8xD8"]):
+            c.check_class_size_congruence(G)
+            c.check_mob_sums(G)
+        for check, G, p, match in refusals:
+            with pytest.raises(ValueError, match=match):
+                check(G, p)
+
+
 class TestReportShape:
     def test_as_dict_roundtrips_to_json(self, d8):
         import json
