@@ -7,7 +7,10 @@ masks from one numpy ``Generator`` seeded from the suite's ``random.Random``),
 so identical invocations always test identical cases.  Each law fails with
 its first counterexample in case order: the first failing case of its array
 expression for an algebra law (``_first_case``), the first of a lazy stream
-of witness strings for the others (``_Suite.check``).
+of witness strings for the others (``_Suite.check``).  Oracles that test many
+masks for containment (least joins, the partition theorem, the Möbius
+recursion, the graph duality) read one matrix from the masks alone,
+``_subset_matrix``, never the lattice's order structures.
 """
 
 from __future__ import annotations
@@ -124,6 +127,22 @@ def _word_rows(masks: list[int], n: int) -> np.ndarray:
     words = (n + 63) // 64
     data = b"".join(m.to_bytes(8 * words, "little") for m in masks)
     return np.frombuffer(data, dtype="<u8").reshape(len(masks), words)
+
+
+def _subset_matrix(A: list[int], B: list[int], n: int) -> np.ndarray:
+    """Bool ``sub`` with ``sub[i, j]`` iff A[i] <= B[j], for masks of subsets of
+    range(n): no 64-bit word of A[i] & ~B[j] is nonzero.  Each word visits only
+    the rows of A with members in it, at most 2^16 word pairs at a time."""
+    outside = ~np.ascontiguousarray(_word_rows(B, n).T)  # outside[w, j]: word w of ~B[j]
+    sub = np.ones((len(A), len(B)), dtype=bool)
+    step = max(1, (1 << 16) // max(1, len(B)))
+    for inner, outer in zip(_word_rows(A, n).T, outside):
+        rows = inner.nonzero()[0]
+        dense = len(rows) == len(A)  # then slices, not index arrays, pick the blocks
+        for lo in range(0, len(rows), step):
+            block = slice(lo, lo + step) if dense else rows[lo : lo + step]
+            sub[block] &= (inner[block, None] & outer) == 0
+    return sub
 
 
 def _first_case(fail: np.ndarray, *cases) -> Optional[tuple[int, ...]]:
@@ -243,21 +262,6 @@ def algebra_suite(G: Group, rng: random.Random, samples: int) -> list[PropertyRe
     return s.results
 
 
-def _by_masks(op: Callable[[ElemSet, ElemSet], ElemSet]) -> Callable[[ElemSet, ElemSet], ElemSet]:
-    """``op(H, K)``, a function of the masks of H and K only, memoised by those
-    masks; a call that raises stores nothing, so it raises again when repeated."""
-    done: dict[tuple[int, int], ElemSet] = {}
-
-    def call(H: ElemSet, K: ElemSet) -> ElemSet:
-        key = (H.mask, K.mask)
-        found = done.get(key)
-        if found is None:
-            found = done[key] = op(H, K)
-        return found
-
-    return call
-
-
 def lattice_suite(G: Group, rng: random.Random, samples: int) -> list[PropertyResult]:
     s = _Suite("lattice")
     lat = build_lattice(G)
@@ -275,9 +279,7 @@ def lattice_suite(G: Group, rng: random.Random, samples: int) -> list[PropertyRe
             else (f"dual(dual({label(i)})) != itself" for i in range(k) if dual[dual[i]] != i))
 
     if k * k > 4 * samples and k > 40:
-        pair_idx = [
-            (rng.randrange(k), rng.randrange(k)) for _ in range(4 * samples)
-        ]
+        pair_idx = [(rng.randrange(k), rng.randrange(k)) for _ in range(4 * samples)]
     else:
         pair_idx = [(i, j) for i in range(k) for j in range(k)]
     s.check("duality_order_reversing",
@@ -286,22 +288,21 @@ def lattice_suite(G: Group, rng: random.Random, samples: int) -> list[PropertyRe
             f"{len(pair_idx)} node pairs")
 
     node_masks = [node.mask for node in nodes]
-
-    meet, join = _by_masks(lat.meet), _by_masks(lat.join)
+    node = dict(zip(node_masks, nodes))
+    # Meets and joins by node masks, memoised; a call that raises stores nothing.
+    meet = functools.cache(lambda a, b: lat.meet(node[a], node[b]).mask)
+    join = functools.cache(lambda a, b: lat.join(node[a], node[b]).mask)
+    holders = map(_bool_row_mask, _subset_matrix(node_masks, node_masks, G.order))
+    up = dict(zip(node_masks, holders))  # up[m]: the nodes holding node m, a mask over node indices
 
     def meet_join_failures():
         for i, j in pair_idx:
-            H, K = nodes[i], nodes[j]
+            H, K = node_masks[i], node_masks[j]
             m, jn = meet(H, K), join(H, K)
-            if m.mask != H.mask & K.mask:
+            if m != H & K:
                 yield f"meet({label(i)},{label(j)})"
-            # Join must be the least node containing both.
-            both = H.mask | K.mask
-            expected = G.full_mask
-            for om in node_masks:
-                if both & ~om == 0:
-                    expected &= om
-            if jn.mask != expected:
+            # Join must be the least node holding both: just the nodes holding both hold it.
+            if up[jn] != up[H] & up[K]:
                 yield f"join({label(i)},{label(j)})"
 
     s.check("meet_join_closed_and_least", meet_join_failures(), f"{len(pair_idx)} node pairs")
@@ -309,7 +310,8 @@ def lattice_suite(G: Group, rng: random.Random, samples: int) -> list[PropertyRe
     ustar = lat.ustar
     s.check("ustar_intersection_law",
             (f"U*({label(i)} v {label(j)})" for i, j in pair_idx
-             if ustar[lat.index_of(join(nodes[i], nodes[j]))].mask != ustar[i].mask & ustar[j].mask),
+             if ustar[lat.index_of(node[join(node_masks[i], node_masks[j])])].mask
+             != ustar[i].mask & ustar[j].mask),
             f"{len(pair_idx)} node pairs")
 
     triples = [
@@ -318,16 +320,16 @@ def lattice_suite(G: Group, rng: random.Random, samples: int) -> list[PropertyRe
 
     def law_failures():
         for i, j, l in triples:
-            H, K, L = nodes[i], nodes[j], nodes[l]
-            if meet(H, H).mask != H.mask or join(H, H).mask != H.mask:
+            H, K, L = node_masks[i], node_masks[j], node_masks[l]
+            if meet(H, H) != H or join(H, H) != H:
                 yield f"idempotence at {label(i)}"
-            if meet(H, K).mask != meet(K, H).mask or join(H, K).mask != join(K, H).mask:
+            if meet(H, K) != meet(K, H) or join(H, K) != join(K, H):
                 yield f"commutativity at {label(i)},{label(j)}"
-            if meet(meet(H, K), L).mask != meet(H, meet(K, L)).mask:
+            if meet(meet(H, K), L) != meet(H, meet(K, L)):
                 yield "meet associativity"
-            if join(join(H, K), L).mask != join(H, join(K, L)).mask:
+            if join(join(H, K), L) != join(H, join(K, L)):
                 yield "join associativity"
-            if meet(H, join(H, K)).mask != H.mask or join(H, meet(H, K)).mask != H.mask:
+            if meet(H, join(H, K)) != H or join(H, meet(H, K)) != H:
                 yield "absorption"
 
     s.check("lattice_laws", law_failures(), f"{len(triples)} random triples")
@@ -336,7 +338,7 @@ def lattice_suite(G: Group, rng: random.Random, samples: int) -> list[PropertyRe
     s.check("top_bottom", (w for i, mask, w in ends if nodes[i].mask != mask))
 
     if G.order <= POWERSET_ORACLE_LIMIT:
-        seen = {centralizer_mask(G, m) for m in range(1 << G.order)}
+        seen = set(_centralizer_table(G).tolist())
         s.check("powerset_agreement", [] if seen == set(node_masks) else ["power-set image differs"],
                 f"all {1 << G.order} subsets")
     else:
@@ -372,10 +374,7 @@ def partition_suite(G: Group, rng: random.Random, samples: int) -> list[Property
             if not is_abelian_subset(G, c.ecenter):
                 yield f"Z({name(c)}) not abelian"
             # Element center must be the center of the centralizer.
-            zc = 0
-            for m in c.cent:
-                if c.cent.mask & ~G.cent_masks[m] == 0:
-                    zc |= 1 << m
+            zc = sum(1 << m for m in c.cent if c.cent.mask & ~G.cent_masks[m] == 0)
             if zc != c.ecenter.mask:
                 yield f"Z({name(c)}) != Z(C(.))"
 
@@ -405,19 +404,18 @@ def partition_suite(G: Group, rng: random.Random, samples: int) -> list[Property
              if (z.mask >> c.representative) & 1 and c.members.mask != z.mask))
 
     lat = build_lattice(G)
+    node_masks = [node.mask for node in lat.nodes]
+    counted = _subset_matrix([c.ecenter.mask for c in classes], node_masks, n).T  # [i, c]: Z(c) <= node i
+    members = [c.members.mask for c in classes]
 
     def theorem_failures():
-        for i, node in enumerate(lat.nodes):
-            hm = node.mask
+        for i, (hm, row) in enumerate(zip(node_masks, counted)):
             total = 0
-            count = 0
-            for c in classes:
-                if c.ecenter.mask & ~hm == 0:
-                    if total & c.members.mask:
-                        yield f"union not disjoint inside {lat.node_label(i)}"
-                    total |= c.members.mask
-                    count += len(c.members)
-            if total != hm or count != len(node):
+            for c in np.flatnonzero(row).tolist():
+                if total & members[c]:
+                    yield f"union not disjoint inside {lat.node_label(i)}"
+                total |= members[c]
+            if total != hm:
                 yield f"node {lat.node_label(i)} is not the union of its Z*-classes"
 
     s.check("partition_theorem_on_lattice", theorem_failures(), f"{len(lat.nodes)} nodes")
@@ -427,15 +425,15 @@ def partition_suite(G: Group, rng: random.Random, samples: int) -> list[Property
              if centralizer_mask(G, u.mask) != node.mask))
 
     if n <= POWERSET_ORACLE_LIMIT:
+        cm = _centralizer_table(G).tolist()  # C(m) for every subset mask m
         fibers: dict[int, int] = {}
-        for m in range(1 << n):
-            cmask = centralizer_mask(G, m)
+        for m, cmask in enumerate(cm):
             fibers[cmask] = fibers.get(cmask, 0) | m
 
         def fiber_failures():
             for cmask, union_mask in fibers.items():
-                union_cmask = centralizer_mask(G, union_mask)
-                if centralizer_mask(G, union_cmask) != union_mask:
+                union_cmask = cm[union_mask]
+                if cm[union_cmask] != union_mask:
                     yield f"fiber union {_mask_str(union_mask)} is not closed"
                 if union_cmask != cmask:
                     yield f"fiber union {_mask_str(union_mask)} changes the centralizer"
@@ -450,20 +448,22 @@ def moebius_suite(G: Group, rng: random.Random, samples: int) -> list[PropertyRe
     s = _Suite("moebius")
     poset = center_poset(G)
     mu = moebius(poset).mu
-    size = len(poset.nodes)
     mn = poset.min_index
-
+    masks = [node.mask for node in poset.nodes]
+    sub = _subset_matrix(masks, masks, G.order)  # sub[j, i]: node j inside node i
+    # mu(i) is minus the sum of mu over the nodes properly inside node i, or 1 at the minimum.
+    values = np.array(mu, dtype=np.int64)
+    expected = values - np.einsum("ji,j->i", sub, values)  # buffered: no int64 copy of sub
+    expected[mn] = 1
     s.check("recursion_reverified",
-            (f"mu mismatch at {poset.node_label(i)}" for i in range(size)
-             if mu[i] != (1 if i == mn else -sum(mu[j] for j in range(size) if j != i and poset.leq(j, i)))),
-            f"{size} nodes")
-    s.check("unique_minimum", ("no unique minimum" for j in range(size) if not poset.leq(mn, j)))
+            (f"mu mismatch at {poset.node_label(i)}" for i in np.flatnonzero(values != expected)[:1].tolist()),
+            f"{len(masks)} nodes")
+    s.check("unique_minimum", [] if sub[mn].all() else ["no unique minimum"])
 
     p = p_group_prime(G.order)
     if p is None:
-        s.skip("class_size_congruence", "not a p-group")
-        s.skip("mob_sums", "not a p-group")
-        s.skip("f_group_counts", "not a p-group")
+        for law in ("class_size_congruence", "mob_sums", "f_group_counts"):
+            s.skip(law, "not a p-group")
     else:
         rep = check_class_size_congruence(G, p)
         bad = [line.label for line in rep.lines if not line.passed]
@@ -542,21 +542,14 @@ def graphs_suite(G: Group, rng: random.Random, samples: int) -> list[PropertyRes
             [] if cg.vertex_count == len(classes) else ["vertex count != proper centralizers"])
 
     # Each pair is adjacent iff Z(j) <= C(i), iff Z(i) <= C(j): the duality.
-    # escapes[j, i] is Z(j) not inside C(i), from the classes' masks alone: an
-    # OR over 64-bit words, each over the classes whose Z has members there.
+    # inside[j, i] is Z(j) <= C(i), from the classes' masks alone.
     k = len(classes)
-    Z = _word_rows([a.ecenter.mask for a in classes], G.order)
-    O = ~_word_rows([b.cent.mask for b in classes], G.order)
-    escapes = np.zeros((k, k), dtype=bool)
-    for w in range(Z.shape[1]):
-        rows = np.flatnonzero(Z[:, w])
-        escapes[rows] |= (Z[rows, w, None] & O[None, :, w]) != 0
-    outside = escapes.T
+    inside = _subset_matrix([a.ecenter.mask for a in classes], [b.cent.mask for b in classes], G.order)
     edge = np.zeros((k, k), dtype=bool)
     pairs = np.array(cg.edges, dtype=np.intp).reshape(-1, 2)
     pairs = pairs[pairs[:, 1] < k]  # a graph with more vertices than classes
     edge[pairs[:, 0], pairs[:, 1]] = True
-    bad = np.argwhere(np.triu((edge == outside) | (outside != escapes), 1))
+    bad = np.argwhere(np.triu((edge != inside.T) | (inside != inside.T), 1))
     s.check("centralizer_graph_duality",
             (f"pair {G.label(classes[i].representative)},{G.label(classes[j].representative)}"
              for i, j in bad[:1].tolist()))

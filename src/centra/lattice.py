@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import weakref
 from typing import Optional, Union
 
 from .centralizers import centralizer_mask, class_transversal, u_star, z_star_partition
@@ -30,11 +31,17 @@ class _NodeOrder:
     _kind: str  # "lattice" or "poset", for "is not a ... node" errors
 
     def __init__(self, group: Group, masks):
-        self.group = group
+        self._group = weakref.ref(group)  # the group holds this (per_group): no cycle
         masks = _sorted_masks(group.order, set(masks))
         self.nodes: tuple[Subgroup, ...] = tuple(Subgroup(group.order, m) for m in masks)
         self._index = {m: i for i, m in enumerate(masks)}
         self._derived: dict = {}  # per_group; a cached_property would slow attribute reads
+
+    @property
+    def group(self) -> Group:
+        if (group := self._group()) is None:
+            raise ReferenceError(f"the group of this {self._kind} has been freed")
+        return group
 
     def __len__(self) -> int:
         return len(self.nodes)

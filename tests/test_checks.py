@@ -14,7 +14,7 @@ import pytest
 
 import centra as c
 from centra import checks
-from centra.checks import _sampled_pairs, _subset_masks, run_suite
+from centra.checks import _sampled_pairs, _subset_masks, _subset_matrix, run_suite
 from centra.cli import build_report
 from conftest import FlippedCentMasks, former_algebra_suite, former_duality_witness
 
@@ -149,6 +149,48 @@ def test_tabulated_laws_stay_small(d8):
     finally:
         tracemalloc.stop()
     assert peak <= 1 << 20, peak
+
+
+def naive_subset_matrix(A, B):
+    return np.array([[a & ~b == 0 for b in B] for a in A], dtype=bool).reshape(len(A), len(B))
+
+
+@pytest.mark.parametrize("n", [1, 63, 64, 65, 720])
+def test_subset_matrix_matches_naive(n):
+    """500 x 300 masks, so that the rows of a word span more than one block of
+    2^16 word pairs: dense masks for B; for A, the empty and the full set,
+    masks inside one 64-bit word, sparse random masks and subsets of B's."""
+    rng = random.Random(n)
+    bits = lambda: rng.getrandbits(n)
+    B = [bits() | bits() for _ in range(298)] + [0, (1 << n) - 1]
+    words = (n + 63) // 64
+    A = [0, (1 << n) - 1]
+    A += [rng.getrandbits(min(64, n)) << 64 * rng.randrange(words) & (1 << n) - 1 for _ in range(98)]
+    A += [bits() & bits() & bits() for _ in range(200)]
+    A += [rng.choice(B) & bits() for _ in range(200)]
+    sub = _subset_matrix(A, B, n)
+    assert sub.dtype == bool and sub.shape == (500, 300)
+    assert np.array_equal(sub, naive_subset_matrix(A, B))
+    assert 0 < np.count_nonzero(sub) < sub.size
+    assert _subset_matrix([], B, n).shape == (0, 300)
+    assert np.array_equal(_subset_matrix(A, [], n), np.zeros((500, 0), dtype=bool))
+
+
+def test_subset_matrix_works_in_blocks():
+    """At most 2^16 word pairs at a time: 4000 x 300 one-word masks peak near
+    the 1.2 MB result plus one 0.5 MB block, where all rows at once would take
+    9.6 MB more."""
+    rng = random.Random(1)
+    A = [0] + [rng.getrandbits(64) for _ in range(3999)]  # one empty row: blocks of row ids
+    B = [rng.getrandbits(64) for _ in range(300)]
+    tracemalloc.start()
+    try:
+        sub = _subset_matrix(A, B, 64)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 << 20, peak
+    assert np.array_equal(sub[:50], naive_subset_matrix(A[:50], B))
 
 
 N, DRAWS = 10, 20_000
@@ -354,11 +396,11 @@ STRUCTURE_SWEEPS = {
 }
 
 
-@pytest.mark.parametrize("key", sorted(STRUCTURE_SWEEPS))
-def test_corrupted_structure_witnesses_pinned(request, monkeypatch, key):
-    """The suites on a sound group whose lattice, Z*-partition, poset, μ table
-    or graphs are swapped for corrupted copies."""
-    G = request.getfixturevalue(key.lower())
+def corrupted_structure_outcomes(G, monkeypatch, every=1, graphs=True):
+    """The suites' outcomes on a sound group G whose lattice, Z*-partition,
+    poset or μ table is swapped for a corrupted copy (every ``every``-th
+    corrupted lattice and partition only), and then, when ``graphs``, whose
+    graphs are."""
     outcomes = []
 
     def run(name, fake, suites):
@@ -366,9 +408,9 @@ def test_corrupted_structure_witnesses_pinned(request, monkeypatch, key):
         outcomes.append(suite_outcomes(G, suites))
         monkeypatch.undo()
 
-    for lat in wrong_lattices(c.build_lattice(G)):
+    for lat in itertools.islice(wrong_lattices(c.build_lattice(G)), 0, None, every):
         run("build_lattice", lambda G, lat=lat: lat, ("lattice", "partition"))
-    for classes in wrong_partitions(c.z_star_partition(G)):
+    for classes in itertools.islice(wrong_partitions(c.z_star_partition(G)), 0, None, every):
         run("z_star_partition", lambda G, classes=classes: classes, ("partition",))
     poset, table = c.center_poset(G), c.moebius(c.center_poset(G))
     for i in range(len(poset.nodes)):
@@ -377,6 +419,8 @@ def test_corrupted_structure_witnesses_pinned(request, monkeypatch, key):
         run("moebius", lambda P, bad=dataclasses.replace(table, mu=tuple(mu)): bad, ("moebius",))
         monkeypatch.setattr(checks, "moebius", lambda P: table)
         run("center_poset", lambda G, bad=replaced(poset, min_index=i): bad, ("moebius",))
+    if not graphs:
+        return outcomes
     for bad in toggled_pairs(c.commuting_graph(G)):
         run("commuting_graph", lambda G, bad=bad: bad, ("graphs",))
     sound = c.transversal_graph  # for the random transversal
@@ -384,7 +428,24 @@ def test_corrupted_structure_witnesses_pinned(request, monkeypatch, key):
         run("transversal_graph", lambda G, T=None, bad=bad: bad if T is None else sound(G, T), ("graphs",))
     for bad in toggled_pairs(c.centralizer_graph(G)):
         run("centralizer_graph", lambda G, bad=bad: bad, ("graphs",))
-    assert digest_and_failures(outcomes) == STRUCTURE_SWEEPS[key]
+    return outcomes
+
+
+@pytest.mark.parametrize("key", sorted(STRUCTURE_SWEEPS))
+def test_corrupted_structure_witnesses_pinned(request, monkeypatch, key):
+    """The suites on a sound group whose lattice, Z*-partition, poset, μ table
+    or graphs are swapped for corrupted copies."""
+    G = request.getfixturevalue(key.lower())
+    assert digest_and_failures(corrupted_structure_outcomes(G, monkeypatch)) == STRUCTURE_SWEEPS[key]
+
+
+def test_corrupted_structure_witnesses_pinned_s5(order_fleet, monkeypatch):
+    """S5's 103-node lattice is the sweep that samples the lattice suite's
+    node pairs (k > 40): every 59th corrupted lattice and partition, and every
+    corrupted poset and μ table."""
+    outcomes = corrupted_structure_outcomes(order_fleet["S5"], monkeypatch, every=59, graphs=False)
+    assert digest_and_failures(outcomes) == (
+        "daf09dd5c3c7bdf581577fcaf316ab1121a7df7ee103992cd921ebd3fb9f9e74", 1983)
 
 
 def test_centralizer_graph_duality_reads_both_sides(s4, monkeypatch):

@@ -250,7 +250,8 @@ class TestHasse:
         }
 
     def test_two_node_chain(self, s3):
-        lat = c.build_lattice(c.builtin_group("cyclic", 2))
+        c2 = c.builtin_group("cyclic", 2)  # a lattice holds its group weakly
+        lat = c.build_lattice(c2)
         assert len(lat.nodes) == 1 and c.hasse_edges(lat) == ()
         # a poset that is a genuine 2-chain: S3's poset is {1} under A3 and the <(i,j)>s
         poset = c.center_poset(s3)

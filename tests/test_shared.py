@@ -1,6 +1,8 @@
 """Each derived structure is built once per group and shared by every reader."""
 
+import gc
 import sys
+import weakref
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 
@@ -81,6 +83,23 @@ def test_repeated_calls_return_the_same_object(d8):
     assert c.commuting_graph(d8) is c.commuting_graph(d8)
     assert c.transversal_graph(d8) is c.transversal_graph(d8)
     assert c.centralizer_graph(d8) is c.centralizer_graph(d8)
+
+
+def test_dropped_group_is_freed_without_the_collector():
+    """Lattices and posets hold their group weakly, so an analysed group is
+    freed as soon as it is dropped, with no cycle left for the collector."""
+    G = c.builtin_group("dihedral", 8)
+    build_report(G, G.name)
+    emit_artifacts(G)
+    lat, alive = c.build_lattice(G), weakref.ref(G)
+    gc.disable()
+    try:
+        del G
+        assert alive() is None
+    finally:
+        gc.enable()
+    with pytest.raises(ReferenceError, match="the group of this lattice has been freed"):
+        lat.group
 
 
 def test_explicit_transversal_graph_is_built_per_call(d8):
