@@ -32,6 +32,7 @@ class _NodeOrder:
 
     def __init__(self, group: Group, masks):
         self._group = weakref.ref(group)  # the group holds this (per_group): no cycle
+        self._group_name = group.name  # for repr, which must work after the group is freed
         masks = _sorted_masks(group.order, set(masks))
         self.nodes: tuple[Subgroup, ...] = tuple(Subgroup(group.order, m) for m in masks)
         self._index = {m: i for i, m in enumerate(masks)}
@@ -109,7 +110,7 @@ class _NodeOrder:
         return _hasse_covers(self)
 
     def __repr__(self) -> str:
-        return f"<{type(self).__name__} of {self.group.name}: {len(self.nodes)} nodes>"
+        return f"<{type(self).__name__} of {self._group_name}: {len(self.nodes)} nodes>"
 
 
 class CentLattice(_NodeOrder):

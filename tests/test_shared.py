@@ -100,6 +100,7 @@ def test_dropped_group_is_freed_without_the_collector():
         gc.enable()
     with pytest.raises(ReferenceError, match="the group of this lattice has been freed"):
         lat.group
+    assert repr(lat) == "<CentLattice of D8: 5 nodes>"
 
 
 def test_explicit_transversal_graph_is_built_per_call(d8):
