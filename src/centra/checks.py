@@ -34,7 +34,7 @@ from .graphs import (
     quotient_consistency,
     transversal_graph,
 )
-from .groups import Group, _bool_row_mask, is_subgroup, subgroup_generated_by
+from .groups import Group, _bool_row_mask, _row_step, is_subgroup, subgroup_generated_by
 from .lattice import build_lattice, center_poset, is_f_group
 from .moebius import (
     check_class_size_congruence,
@@ -500,8 +500,12 @@ def graphs_suite(G: Group, rng: random.Random, samples: int) -> list[PropertyRes
         s.skip("all", "abelian group: graphs have empty vertex sets")
         return s.results
     # The degree oracles count commuting partners from the table itself, never
-    # from the centralizer masks or the graphs under test: |C(v)| per element.
-    cent_sizes = (G.table == G.table.T).sum(axis=1).tolist()
+    # from the centralizer masks or the graphs under test: |C(v)| per element,
+    # from ``table == table.T`` in blocks of rows.
+    table, step = G.table, _row_step(G.order)
+    cent_sizes: list[int] = []
+    for lo in range(0, G.order, step):
+        cent_sizes += (table[lo : lo + step] == table[:, lo : lo + step].T).sum(axis=1).tolist()
     zsize = cent_sizes.count(G.order)
     com = commuting_graph(G)
     s.check("commuting_degree_formula",

@@ -198,15 +198,17 @@ def _hasse_dot(graph_name: str, labels: Iterable[str], covers: Iterable[tuple[in
     return "\n".join(lines) + "\n"
 
 
-def _edge_lines_numpy(graph: GroupGraph) -> str:
-    """The edge lines of a graph with edges, joined by newlines: per block of
-    masks, the set bits of their nonzero bytes, each edge as four pieces from
-    object arrays of index strings (``;`` closes a line with the next's head)."""
+def _edge_text_numpy(graph: GroupGraph) -> list[str]:
+    """The edge lines of a graph with edges, in one string per block of masks
+    and without the last line's ``;\n``: the set bits of the masks' nonzero
+    bytes, each edge as four pieces from object arrays of index strings (every
+    edge but the first opens with ``;\n``, closing the line before)."""
     vids = np.array(graph.vertex_ids)
     nbytes = graph.vertex_ids[-1] // 8 + 1  # bytes per mask
     name_of = np.empty(8 * nbytes, dtype=object)  # index strings, by element id
     name_of[vids] = [str(i) for i in range(len(vids))]
     chunks = []
+    head = "  v"  # the first edge's; every later one closes the line before
     step = max(1, EDGE_BLOCK_BITS // (8 * nbytes))
     for a in range(0, len(vids), step):
         block = b"".join(m.to_bytes(nbytes, "little") for m in graph.adjacency[a : a + step])
@@ -220,8 +222,10 @@ def _edge_lines_numpy(graph: GroupGraph) -> str:
         parts[1::4] = name_of[vids[rows[upper]]]
         parts[2::4] = " -- v"
         parts[3::4] = name_of[g[upper]]
+        if parts.size:
+            parts[0], head = head, ";\n  v"
         chunks.append("".join(parts.tolist()))
-    return "".join(chunks)[2:] + ";"
+    return chunks
 
 
 def export_dot(obj: Union[GroupGraph, CentLattice, CenterPoset],
@@ -236,17 +240,16 @@ def export_dot(obj: Union[GroupGraph, CentLattice, CenterPoset],
     if isinstance(obj, GroupGraph):
         if mu is not None:
             raise ValueError("Möbius labels apply to a CenterPoset, not a group graph")
-        lines = [f"graph {obj.kind} {{"]
-        for i, lab in enumerate(obj.labels):
-            lines.append(f"  v{i} [label={_dot_quote(lab)}];")
+        pieces = [f"graph {obj.kind} {{\n"]
+        pieces += [f"  v{i} [label={_dot_quote(lab)}];\n" for i, lab in enumerate(obj.labels)]
         if any(obj.adjacency):
             if obj.vertex_count * (obj.vertex_ids[-1] + 1) < EDGE_WALK_BITS:
-                for i, j in obj.edges:
-                    lines.append(f"  v{i} -- v{j};")
+                pieces += [f"  v{i} -- v{j};\n" for i, j in obj.edges]
             else:
-                lines.append(_edge_lines_numpy(obj))
-        lines.append("}")
-        return "\n".join(lines) + "\n"
+                pieces += _edge_text_numpy(obj)
+                pieces.append(";\n")
+        pieces.append("}\n")
+        return "".join(pieces)  # the only copy of the text
     if isinstance(obj, CentLattice):
         if mu is not None:
             raise ValueError("Möbius labels apply to a CenterPoset, not a lattice")

@@ -10,6 +10,13 @@ Python step per table entry.  Permutation groups (``symmetric`` and
 ``group_from_generators``) compose image arrays and rank each product by its
 images on a few base points; the other families broadcast their formulas.
 Those two work in blocks of at most ``BLOCK_ENTRIES`` products.
+
+Every table, and the inverse map, is stored as ``uint16`` for orders up to
+65 536 and as ``uint32`` above that (``_table_dtype``).  The constructors
+build their tables in that dtype, or ``Group`` narrows a table once, after
+checking its range in the table's own dtype.  No stage makes an n x n
+temporary: validation and ``Group.cent_masks`` work in row blocks of
+``BLOCK_ENTRIES`` entries.
 """
 
 from __future__ import annotations
@@ -27,7 +34,7 @@ from .sets import ElemSet, Subgroup
 
 DEFAULT_MAX_ORDER = 10**6
 MAX_ORDER_ENV = "CENTRA_MAX_ORDER"
-BLOCK_ENTRIES = 1 << 16  # products per block in validation, generator closure and _perm_table
+BLOCK_ENTRIES = 1 << 16  # table entries per block in validation, cent_masks, closure and _perm_table
 
 BUILTIN_FAMILIES = ("cyclic", "dihedral", "quaternion8", "symmetric", "heisenberg")
 
@@ -61,8 +68,22 @@ def max_order_bound(explicit: Optional[int] = None) -> int:
     return DEFAULT_MAX_ORDER
 
 
-def _validate_table(table: np.ndarray, name: str) -> np.ndarray:
-    """Check the group laws on ``table`` and return its inverse map.
+def _table_dtype(order: int) -> np.dtype:
+    """The dtype of every table of ``order`` elements: its entries run to order - 1."""
+    return np.dtype(np.uint16 if order <= 1 << 16 else np.uint32)
+
+
+def _row_step(n: int) -> int:
+    """Rows of an n-column table per block of at most ``BLOCK_ENTRIES`` entries."""
+    return max(1, BLOCK_ENTRIES // n)
+
+
+def _validate_table(table: np.ndarray, name: str) -> tuple[np.ndarray, np.ndarray]:
+    """Check the group laws on ``table``; return it in ``_table_dtype`` with
+    its inverse map.
+
+    The range is checked in the table's own dtype, before it is narrowed, so
+    no entry wraps around; entries that are not integers are out of range.
 
     Identity and two-sided inverses are read off the table directly.
     Associativity is checked exactly by Light's test (Clifford & Preston,
@@ -79,24 +100,28 @@ def _validate_table(table: np.ndarray, name: str) -> np.ndarray:
     hence a latin square: the latin checks run only after a failure, to
     name the law in the order latin, inverse, associativity.
     """
-    n = table.shape[0]
-    if table.ndim != 2 or table.shape != (n, n):
+    if table.ndim != 2 or table.shape[0] != table.shape[1]:
         raise GroupTableError("shape", f"table of {name} is not square")
+    n = table.shape[0]
     if n == 0:
         raise GroupTableError("shape", "empty table")
-    if table.min() < 0 or table.max() >= n:
-        raise GroupTableError("range", f"entries of {name} outside 0..{n - 1}")
+    kind = table.dtype.kind
+    if kind not in "iu" or (kind == "i" and table.min() < 0) or table.max() >= n:
+        raise GroupTableError("range", f"entries of {name} are not all integers in 0..{n - 1}")
+    table = table.astype(_table_dtype(n), copy=False)
     ids = np.arange(n, dtype=table.dtype)
     if not (np.array_equal(table[0], ids) and np.array_equal(table[:, 0], ids)):
         raise GroupTableError("identity", "element 0 is not a two-sided identity")
-    inv = np.argmax(table == 0, axis=1)
+    step = _row_step(n)
+    inv = np.empty(n, dtype=table.dtype)
+    for lo in range(0, n, step):
+        inv[lo : lo + step] = np.argmax(table[lo : lo + step] == 0, axis=1)
     if not (table[inv, ids] == 0).all():
         _check_latin(table, ids)
         raise GroupTableError("inverse", "left and right inverses disagree")
     item = table.item
     elements, reached, gens = [0], bytearray(n), []
     reached[0] = 1
-    step = max(1, BLOCK_ENTRIES // n)
     a = 0
     while len(elements) < n:
         a = reached.index(0, a)
@@ -110,14 +135,17 @@ def _validate_table(table: np.ndarray, name: str) -> np.ndarray:
                     "associativity", f"({lo + x}*{a})*{y} != {lo + x}*({a}*{y})"
                 )
         _adjoin(item, elements, reached, gens, a)
-    return inv.astype(np.int32)
+    return table, inv
 
 
 def _check_latin(table: np.ndarray, ids: np.ndarray) -> None:
-    if not (np.sort(table, axis=1) == ids).all():
-        raise GroupTableError("latin", "some row is not a permutation of the element ids")
-    if not (np.sort(table, axis=0) == ids[:, None]).all():
-        raise GroupTableError("latin", "some column is not a permutation of the element ids")
+    step = _row_step(len(ids))
+    for lo in range(0, len(ids), step):
+        if not (np.sort(table[lo : lo + step], axis=1) == ids).all():
+            raise GroupTableError("latin", "some row is not a permutation of the element ids")
+    for lo in range(0, len(ids), step):
+        if not (np.sort(table[:, lo : lo + step], axis=0) == ids[:, None]).all():
+            raise GroupTableError("latin", "some column is not a permutation of the element ids")
 
 
 def _bool_row_mask(row: np.ndarray) -> int:
@@ -133,8 +161,7 @@ class Group:
         labels: Optional[Sequence[str]] = None,
         name: str = "G",
     ):
-        arr = np.asarray(table, dtype=np.int32)
-        self.inv_table = _validate_table(arr, name)
+        arr, self.inv_table = _validate_table(np.asarray(table), name)
         arr.setflags(write=False)
         self.inv_table.setflags(write=False)
         self.table = arr
@@ -188,9 +215,14 @@ class Group:
 
     @cached_property
     def cent_masks(self) -> tuple[int, ...]:
-        """Per-element centralizer bitmasks, computed once per group."""
-        comm = self.table == self.table.T
-        return tuple(_bool_row_mask(comm[g]) for g in range(self.order))
+        """Per-element centralizer bitmasks, computed once per group from
+        ``table == table.T`` in blocks of rows."""
+        table, step = self.table, _row_step(self.order)
+        masks: list[int] = []
+        for lo in range(0, self.order, step):
+            comm = np.packbits(table[lo : lo + step] == table[:, lo : lo + step].T, axis=1, bitorder="little")
+            masks.extend(int.from_bytes(row, "little") for row in comm)
+        return tuple(masks)
 
     @cached_property
     def _zstar_buckets(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -464,8 +496,8 @@ def _perm_table(images: np.ndarray) -> np.ndarray:
         lookup = levels[-1][1]
         known = lookup >= 0
         lookup[known] = np.argsort(rank)[lookup[known]]  # final rank -> element id
-    table = np.zeros((n, n), dtype=np.int32)
-    step = max(1, BLOCK_ENTRIES // n)
+    table = np.empty((n, n), dtype=_table_dtype(n))
+    step = _row_step(n)
     for lo in range(0, n, step):
         block = images[lo : lo + step]
         rank = 0
@@ -508,7 +540,7 @@ def parse_cayley_table_text(text: str, name: str = "table") -> Group:
         raise ValueError(f"group order must be positive, got {n}")
     if len(lines) < 1 + n:
         raise ValueError(f"expected {n} table rows, found {len(lines) - 1}")
-    rows = []
+    table = np.empty((n, n), dtype=_table_dtype(n))
     for i, ln in enumerate(lines[1 : 1 + n]):
         try:
             row = [int(tok) for tok in ln.split()]
@@ -516,7 +548,9 @@ def parse_cayley_table_text(text: str, name: str = "table") -> Group:
             raise ValueError(f"row {i}: non-integer entry") from exc
         if len(row) != n:
             raise ValueError(f"row {i} has {len(row)} entries, expected {n}")
-        rows.append(row)
+        if min(row) < 0 or max(row) >= n:  # before the row is narrowed
+            raise GroupTableError("range", f"entries of {name} are not all integers in 0..{n - 1}")
+        table[i] = row
     labels: Optional[list[str]] = None
     for ln in lines[1 + n :]:
         parts = ln.split(maxsplit=2)
@@ -528,7 +562,7 @@ def parse_cayley_table_text(text: str, name: str = "table") -> Group:
         if not 0 <= idx < n:
             raise ValueError(f"label id {idx} out of range")
         labels[idx] = parts[2]
-    return Group(rows, labels, name)
+    return Group(table, labels, name)
 
 
 def group_from_cayley_table(source: Union[str, Path]) -> Group:
@@ -552,15 +586,16 @@ def direct_product(G: Group, H: Group, *, max_order: Optional[int] = None) -> Gr
     n, m = G.order, H.order
     if n * m > bound:
         raise OrderBoundError(f"product order {n * m} exceeds the order bound {bound}")
-    # int32 throughout: entries are below n * m, far below 2^31 for any table that fits in memory
-    table = G.table[:, None, :, None] * np.int32(m) + H.table[None, :, None, :]
+    # g*m + h < n*m, so it is computed in the product's own dtype
+    offsets = np.arange(0, n * m, m, dtype=_table_dtype(n * m))  # g -> g*m
+    table = offsets[G.table][:, None, :, None] + H.table[None, :, None, :]
     labels = [f"({gl},{hl})" for gl in G.labels for hl in H.labels]
     return Group(table.reshape(n * m, n * m), labels, f"{G.name}x{H.name}")
 
 
 def _cyclic_group(n: int) -> Group:
-    ids = np.arange(n, dtype=np.int32)
-    table = (ids[:, None] + ids[None, :]) % n
+    ids = np.arange(n, dtype=_table_dtype(2 * n - 1))  # i + j < 2n - 1
+    table = (ids[:, None] + ids) % n
     labels = ["1"] + ["g" if k == 1 else f"g^{k}" for k in range(1, n)]
     return Group(table, labels, f"C{n}")
 
@@ -570,8 +605,8 @@ def _dihedral_group(order: int) -> Group:
         raise ValueError(f"dihedral group order must be even and >= 2, got {order}")
     n = order // 2
     # ids: a^i -> i, a^i b -> n + i; a^i * a^j b = a^(i+j) b, a^i b * a^j = a^(i-j) b
-    i = np.arange(n, dtype=np.int32)
-    add, sub = (i[:, None] + i) % n, (i[:, None] - i) % n
+    i = np.arange(n, dtype=_table_dtype(order))  # unsigned: i - j is (i + n - j) % n
+    add, sub = (i[:, None] + i) % n, (i[:, None] + (n - i)) % n
     table = np.block([[add, n + add], [n + sub, sub]])
     rot = ["1"] + ["a" if i == 1 else f"a^{i}" for i in range(1, n)]
     ref = ["b"] + ["ab" if i == 1 else f"a^{i}b" for i in range(1, n)]
@@ -582,8 +617,8 @@ def _quaternion_group() -> Group:
     # ids: 2 * axis + (1 if negative), axes 1, i, j, k = 0..3.  The axis of a
     # product is the XOR of the axes; its sign flips when the axes' product
     # is negative (i*i = -1, i*k = -j, j*i = -k, ...).
-    negative = np.array([[0, 0, 0, 0], [0, 1, 0, 1], [0, 1, 1, 0], [0, 0, 1, 1]])
-    axis, sign = np.divmod(np.arange(8), 2)
+    negative = np.array([[0, 0, 0, 0], [0, 1, 0, 1], [0, 1, 1, 0], [0, 0, 1, 1]], dtype=np.uint16)
+    axis, sign = np.divmod(np.arange(8, dtype=np.uint16), 2)
     a, b = axis[:, None], axis[None, :]
     table = 2 * (a ^ b) + (sign[:, None] ^ sign[None, :] ^ negative[a, b])
     labels = [s + ax for ax in ("1", "i", "j", "k") for s in ("", "-")]
@@ -622,7 +657,7 @@ def _heisenberg_group(p: int) -> Group:
     n = p**3
 
     # (a, b, c) has id (a*p + b)*p + c; columns of a, b, c against rows of a.T, b.T, c.T
-    a, b, c = np.indices((p, p, p), dtype=np.int32).reshape(3, n, 1)
+    a, b, c = np.indices((p, p, p), dtype=_table_dtype(n)).reshape(3, n, 1)
     table = (((a + a.T) % p) * p + (b + b.T) % p) * p + (c + c.T + a * b.T) % p
     labels = [
         f"({a},{b},{c})" if (a, b, c) != (0, 0, 0) else "1"

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field, asdict
 from functools import wraps
 from typing import Callable, Optional
@@ -15,10 +16,19 @@ from .sets import ids_from_mask
 @dataclass(frozen=True)
 class MoebiusTable:
     """Integer mu per node of a center poset: mu(min) = 1 and
-    mu(x) = -sum of mu over nodes strictly below x."""
+    mu(x) = -sum of mu over nodes strictly below x.
 
-    poset: CenterPoset
+    The table holds its poset weakly: the poset memoises the table, so a
+    dropped poset and its table are freed without the cyclic GC."""
+
+    _poset: weakref.ref = field(repr=False)
     mu: tuple[int, ...]
+
+    @property
+    def poset(self) -> CenterPoset:
+        if (poset := self._poset()) is None:
+            raise ReferenceError("the poset of this Möbius table has been freed")
+        return poset
 
     def value(self, node) -> int:
         return self.mu[self.poset.index_of(node)]
@@ -38,7 +48,7 @@ def moebius(P: CenterPoset) -> MoebiusTable:
     mu = [0] * n
     for i in range(n):
         mu[i] = 1 if i == mn else -sum(mu[j] for j in ids_from_mask(below[i]))
-    return MoebiusTable(P, tuple(mu))
+    return MoebiusTable(weakref.ref(P), tuple(mu))
 
 
 @dataclass

@@ -244,6 +244,16 @@ class TestExitCodes:
         assert res.returncode == 2
         assert "latin" in res.stderr or "identity" in res.stderr
 
+    @pytest.mark.parametrize("entry", ["4294967296", "65536"])
+    def test_out_of_range_table_entry_is_usage_error(self, tmp_path, entry):
+        """An entry past int32 or uint16 is refused, not wrapped around."""
+        path = tmp_path / "big.tbl"
+        path.write_text(f"2\n0 1\n1 {entry}\n")
+        res = run_cli("analyze", "--table", str(path))
+        assert res.returncode == 2
+        assert res.stdout == ""
+        assert res.stderr == "centra: range: entries of big are not all integers in 0..1\n", res.stderr
+
     def test_nonassociative_table_is_usage_error(self, tmp_path):
         table = c1024_intercalate_table()
         path = tmp_path / "c1024.tbl"

@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import centra as c
-from centra.groups import element_orders
+from centra.checks import run_suite
+from centra.groups import _table_dtype, element_orders
 from conftest import (
     by_label,
     c1024_intercalate_table,
@@ -14,6 +17,8 @@ from conftest import (
     naive_generated,
     paired_inverse_table,
     swap_intercalate,
+    unitriangular4,
+    unitriangular4_generators,
 )
 
 # Found by backtracking over latin squares with identity row/column and paired
@@ -260,6 +265,103 @@ class TestTableIO:
         path.write_text("perm x\n(1,2)\n")
         with pytest.raises(ValueError, match="bad degree"):
             c.group_from_generator_file(path)
+
+
+def _write(tmp_path, name, text):
+    path = tmp_path / name
+    path.write_text(text)
+    return path
+
+
+C2 = lambda: c.builtin_group("cyclic", 2)
+
+CONSTRUCTIONS = {
+    "cyclic:1": lambda tmp: c.builtin_group("cyclic", 1),
+    "cyclic:7": lambda tmp: c.builtin_group("cyclic", 7),
+    "dihedral:10": lambda tmp: c.builtin_group("dihedral", 10),
+    "quaternion8": lambda tmp: c.builtin_group("quaternion8"),
+    "symmetric:4": lambda tmp: c.builtin_group("symmetric", 4),
+    "heisenberg:3": lambda tmp: c.builtin_group("heisenberg", 3),
+    "generators": lambda tmp: c.group_from_generators(unitriangular4_generators(2)),
+    "generator file": lambda tmp: c.group_from_generator_file(_write(tmp, "s3.gens", "perm 3\n(1,2)\n(1,2,3)\n")),
+    "cayley file": lambda tmp: c.group_from_cayley_table(_write(tmp, "c3.tbl", "3\n0 1 2\n1 2 0\n2 0 1\n")),
+    "Group(lists)": lambda tmp: c.Group([[0, 1], [1, 0]]),
+    "Group(int64)": lambda tmp: c.Group(np.array([[0, 1], [1, 0]], dtype=np.int64)),
+    "product": lambda tmp: c.direct_product(C2(), c.builtin_group("symmetric", 3)),
+    "nested product": lambda tmp: c.direct_product(c.direct_product(C2(), C2()), c.builtin_group("dihedral", 8)),
+}
+
+
+class TestTableDtype:
+    @pytest.mark.parametrize("path", sorted(CONSTRUCTIONS))
+    def test_every_construction_is_uint16_and_read_only(self, path, tmp_path):
+        G = CONSTRUCTIONS[path](tmp_path)
+        assert G.table.dtype == G.inv_table.dtype == np.uint16
+        assert not G.table.flags.writeable and not G.inv_table.flags.writeable
+        assert [G.inv(g) for g in G.elements()] == [
+            next(h for h in G.elements() if G.mul(g, h) == 0) for g in G.elements()
+        ]
+
+    def test_dtype_rule_boundary(self):
+        """Ids run to order - 1, so uint16 holds every order up to 2^16."""
+        assert _table_dtype(1) == _table_dtype(1 << 16) == np.uint16
+        assert _table_dtype((1 << 16) + 1) == _table_dtype(1 << 32) == np.uint32
+
+    def test_narrow_table_is_not_copied(self, d8):
+        table = d8.table.copy()
+        assert c.Group(table).table is table
+
+    @pytest.mark.parametrize("make", ["d8", "s4", "h3"])
+    def test_cayley_text_roundtrips_byte_for_byte(self, make, request):
+        G = request.getfixturevalue(make)
+        text = c.cayley_table_text(G)
+        again = c.parse_cayley_table_text(text, name=G.name)
+        assert np.array_equal(again.table, G.table) and again.labels == G.labels
+        assert c.cayley_table_text(again) == text
+
+    def test_cayley_text_format(self):
+        text = c.cayley_table_text(c.builtin_group("cyclic", 3))
+        assert text == "3\n0 1 2\n1 2 0\n2 0 1\nlabel 0 1\nlabel 1 g\nlabel 2 g^2\n"
+
+    @pytest.mark.parametrize("table", [
+        pytest.param(np.array([[0, 1], [1, 2**32]]), id="int64 2^32, wraps to 0 in int32"),
+        pytest.param(np.array([[0, 1], [1, 1 << 16]]), id="int64 2^16, wraps to 0 in uint16"),
+        pytest.param(np.array([[0, 1], [1, (1 << 16) + 1]], dtype=np.int32), id="int32 2^16+1"),
+        pytest.param(np.array([[0, 1], [1, -(1 << 16)]]), id="int64 -2^16"),
+        pytest.param([[0, 1.5], [1, 0]], id="float 1.5"),
+        pytest.param([[0.0, 1.0], [1.0, 0.0]], id="integral floats"),
+        pytest.param([[0, 1], [1, 2**70]], id="object 2^70"),
+        pytest.param([[False, True], [True, False]], id="bool"),
+    ])
+    def test_range_is_checked_before_narrowing(self, table):
+        with pytest.raises(c.GroupTableError) as exc:
+            c.Group(table)
+        assert exc.value.law == "range"
+
+    @pytest.mark.parametrize("entry", ["2", "-1", "65536", "4294967296", str(2**70)])
+    def test_cayley_file_range_is_checked_before_narrowing(self, entry):
+        with pytest.raises(c.GroupTableError) as exc:
+            c.parse_cayley_table_text(f"2\n0 1\n1 {entry}\n")
+        assert exc.value.law == "range"
+
+    def test_no_n_squared_temporaries(self):
+        """At order 3^7 one n x n bool array is 4.8 MB.  Construction (with
+        validation's ``table == 0``), ``cent_masks`` and the graphs suite's
+        degree oracle (each ``table == table.T``) read the table in row
+        blocks, so the traced peak of all three stays within 1 MB of what
+        they keep: the 9.6 MB uint16 table, the masks, graphs and results."""
+        UT, C3 = unitriangular4(3), c.builtin_group("cyclic", 3)
+        tracemalloc.start()
+        try:
+            G = c.direct_product(UT, C3)
+            G.cent_masks
+            results = run_suite(G, "graphs")
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert not any(r.failed for r in results)
+        assert kept >= G.table.nbytes == 2 * G.order**2
+        assert peak <= kept + (1 << 20), (peak, kept)
 
 
 class TestDirectProduct:

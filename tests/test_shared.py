@@ -103,6 +103,33 @@ def test_dropped_group_is_freed_without_the_collector():
     assert repr(lat) == "<CentLattice of D8: 5 nodes>"
 
 
+def test_dropped_poset_and_moebius_table_are_freed_without_the_collector():
+    """A Möbius table holds its poset weakly (the poset memoises the table),
+    so the two form no cycle: dropping the group frees both at once."""
+    G = c.builtin_group("dihedral", 8)
+    build_report(G, G.name)
+    emit_artifacts(G)
+    poset = c.center_poset(G)
+    mu = c.moebius(poset)
+    assert mu.poset is poset and mu.value(poset.min_index) == 1
+    assert c.export_dot(poset, mu).count("mu=") == len(poset)
+    alive = [weakref.ref(x) for x in (G, poset, mu)]
+    gc.disable()
+    try:
+        del G, poset, mu
+        assert [ref() for ref in alive] == [None, None, None]
+    finally:
+        gc.enable()
+
+
+def test_moebius_table_of_a_freed_poset_raises():
+    G = c.builtin_group("dihedral", 8)
+    mu = c.moebius(c.center_poset(G))
+    del G
+    with pytest.raises(ReferenceError, match="the poset of this Möbius table has been freed"):
+        mu.value(0)
+
+
 def test_explicit_transversal_graph_is_built_per_call(d8):
     T = c.default_transversal(d8)
     assert c.transversal_graph(d8, T) is not c.transversal_graph(d8, T)
