@@ -29,6 +29,7 @@ from .centralizers import (
     z_star_partition,
 )
 from .graphs import (
+    _coset_minima,
     centralizer_graph,
     commuting_graph,
     quotient_consistency,
@@ -531,7 +532,7 @@ def graphs_suite(G: Group, rng: random.Random, samples: int) -> list[PropertyRes
 
     # The degree formula holds for any transversal, not just the default one.
     cosets: dict[int, list[int]] = {}  # by least member, each ascending
-    for g, least in enumerate(G.table[:, list(G.center.members)].min(axis=1).tolist()):
+    for g, least in enumerate(_coset_minima(G)):
         cosets.setdefault(least, []).append(g)
     alt = [rng.choice(coset) for coset in cosets.values()]
     s.check("transversal_degree_formula_random_t", transversal_failures(transversal_graph(G, alt)))

@@ -17,11 +17,16 @@ build their tables in that dtype, or ``Group`` narrows a table once, after
 checking its range in the table's own dtype.  No stage makes an n x n
 temporary: validation and ``Group.cent_masks`` work in row blocks of
 ``BLOCK_ENTRIES`` entries.
+
+Each constructor checks that the table fits in the byte budget
+``CENTRA_TABLE_BYTES`` (``_order_limit``) before it allocates the table or
+does work that grows with its parameter.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import os
 from functools import cached_property, wraps
 from pathlib import Path
@@ -32,8 +37,8 @@ import numpy as np
 from .perm import Permutation, cycle_strings, parse_cycle_notation
 from .sets import ElemSet, Subgroup
 
-DEFAULT_MAX_ORDER = 10**6
-MAX_ORDER_ENV = "CENTRA_MAX_ORDER"
+TABLE_BYTES_ENV = "CENTRA_TABLE_BYTES"
+DEFAULT_TABLE_BYTES = 1 << 30
 BLOCK_ENTRIES = 1 << 16  # table entries per block in validation, cent_masks, closure and _perm_table
 
 BUILTIN_FAMILIES = ("cyclic", "dihedral", "quaternion8", "symmetric", "heisenberg")
@@ -51,26 +56,37 @@ class GroupTableError(ValueError):
 
 
 class OrderBoundError(ValueError):
-    """A construction would exceed the configured group-order bound."""
+    """A group's table would not fit in the byte budget ``CENTRA_TABLE_BYTES``."""
+
+    def __init__(self, name: str, order: object, limit: int):
+        super().__init__(
+            f"{name} order {order} exceeds {limit}, the largest order whose table fits in {TABLE_BYTES_ENV}"
+        )
 
 
 class InvariantViolation(RuntimeError):
     """A theorem-backed invariant failed; indicates a bug, never user error."""
 
 
-def max_order_bound(explicit: Optional[int] = None) -> int:
-    """Order bound for constructions: explicit arg, else CENTRA_MAX_ORDER, else default."""
-    if explicit is not None:
-        return int(explicit)
-    env = os.environ.get(MAX_ORDER_ENV)
-    if env is not None:
-        return int(env)
-    return DEFAULT_MAX_ORDER
-
-
 def _table_dtype(order: int) -> np.dtype:
     """The dtype of every table of ``order`` elements: its entries run to order - 1."""
     return np.dtype(np.uint16 if order <= 1 << 16 else np.uint32)
+
+
+def _order_limit(name: str, order: int = 1) -> int:
+    """The largest order whose table, in ``_table_dtype``, fits in the byte
+    budget ``CENTRA_TABLE_BYTES``; raise ``OrderBoundError`` if the group
+    ``name`` of ``order`` elements is above it.  O(1): no table is built."""
+    raw = os.environ.get(TABLE_BYTES_ENV, str(DEFAULT_TABLE_BYTES))
+    budget = int(raw) if raw.isdecimal() else 0
+    if budget <= 0:
+        raise ValueError(f"{TABLE_BYTES_ENV} must be a positive integer number of bytes, got {raw!r}")
+    limit = math.isqrt(budget // 2)  # at uint16's two bytes an entry
+    if _table_dtype(limit).itemsize > 2:  # past uint16: four bytes an entry, but every uint16 order fits
+        limit = max(1 << 16, math.isqrt(budget // 4))
+    if order > limit:
+        raise OrderBoundError(name, order, limit)
+    return limit
 
 
 def _row_step(n: int) -> int:
@@ -153,7 +169,12 @@ def _bool_row_mask(row: np.ndarray) -> int:
 
 
 class Group:
-    """Finite group on elements 0..order-1 with multiplication table lookups."""
+    """Finite group on elements 0..order-1 with multiplication table lookups.
+
+    A table already in ``_table_dtype`` (a ``uint16`` array up to order
+    65 536) is adopted, not copied, and made read-only: the caller's array
+    becomes ``G.table`` and can no longer be written.
+    """
 
     def __init__(
         self,
@@ -420,14 +441,13 @@ def group_from_generators(
     *,
     degree: Optional[int] = None,
     name: str = "G",
-    max_order: Optional[int] = None,
 ) -> Group:
     """Closure of permutation generators under composition, numbered in BFS order.
 
     Element 0 is the identity; labels are cycle-notation strings, so the
     numbering and labels are deterministic given the generator order.
     """
-    bound = max_order_bound(max_order)
+    limit = _order_limit(name)
     gens = list(gens)
     if gens:
         deg = gens[0].degree
@@ -453,10 +473,8 @@ def group_from_generators(
         products = block[:, gen_images].reshape(len(block) * len(gens), deg)
         for f in map(tuple, products.tolist()):
             if f not in index:
-                if len(found) >= bound:
-                    raise OrderBoundError(
-                        f"generated group exceeds the order bound {bound}"
-                    )
+                if len(found) == limit:
+                    raise OrderBoundError(name, f"at least {limit + 1}", limit)
                 index[f] = len(found)
                 found.append(f)
     images = np.array(found, dtype=np.intp).reshape(len(found), deg)
@@ -511,7 +529,7 @@ def _perm_table(images: np.ndarray) -> np.ndarray:
     return table
 
 
-def group_from_generator_file(source: Union[str, Path], *, max_order: Optional[int] = None) -> Group:
+def group_from_generator_file(source: Union[str, Path]) -> Group:
     """Load a group from a generator file: ``perm <degree>`` then one cycle per line."""
     path = Path(source)
     lines = [ln.strip() for ln in path.read_text().splitlines() if ln.strip()]
@@ -524,7 +542,7 @@ def group_from_generator_file(source: Union[str, Path], *, max_order: Optional[i
     if deg <= 0:
         raise ValueError(f"{path}: degree must be positive, got {deg}")
     gens = [parse_cycle_notation(ln, deg) for ln in lines[1:]]
-    return group_from_generators(gens, degree=deg, name=path.stem, max_order=max_order)
+    return group_from_generators(gens, degree=deg, name=path.stem)
 
 
 def parse_cayley_table_text(text: str, name: str = "table") -> Group:
@@ -538,6 +556,7 @@ def parse_cayley_table_text(text: str, name: str = "table") -> Group:
         raise ValueError(f"first line must be the group order, got {lines[0]!r}") from exc
     if n <= 0:
         raise ValueError(f"group order must be positive, got {n}")
+    _order_limit(name, n)
     if len(lines) < 1 + n:
         raise ValueError(f"expected {n} table rows, found {len(lines) - 1}")
     table = np.empty((n, n), dtype=_table_dtype(n))
@@ -580,17 +599,16 @@ def cayley_table_text(G: Group, with_labels: bool = True) -> str:
     return "\n".join(out) + "\n"
 
 
-def direct_product(G: Group, H: Group, *, max_order: Optional[int] = None) -> Group:
+def direct_product(G: Group, H: Group) -> Group:
     """Componentwise product; (g, h) gets element id g*|H| + h."""
-    bound = max_order_bound(max_order)
     n, m = G.order, H.order
-    if n * m > bound:
-        raise OrderBoundError(f"product order {n * m} exceeds the order bound {bound}")
+    name = f"{G.name}x{H.name}"
+    _order_limit(name, n * m)
     # g*m + h < n*m, so it is computed in the product's own dtype
     offsets = np.arange(0, n * m, m, dtype=_table_dtype(n * m))  # g -> g*m
     table = offsets[G.table][:, None, :, None] + H.table[None, :, None, :]
     labels = [f"({gl},{hl})" for gl in G.labels for hl in H.labels]
-    return Group(table.reshape(n * m, n * m), labels, f"{G.name}x{H.name}")
+    return Group(table.reshape(n * m, n * m), labels, name)
 
 
 def _cyclic_group(n: int) -> Group:
@@ -625,34 +643,23 @@ def _quaternion_group() -> Group:
     return Group(table, labels, "Q8")
 
 
-def _symmetric_group(n: int, max_order: Optional[int] = None) -> Group:
+def _symmetric_group(n: int) -> Group:
     if n < 1:
         raise ValueError(f"symmetric group degree must be >= 1, got {n}")
-    bound = max_order_bound(max_order)
+    limit = _order_limit(f"S{n}")
     order = 1
     for k in range(2, n + 1):
         order *= k
-    if order > bound:
-        raise OrderBoundError(f"S{n} order {order} exceeds the order bound {bound}")
+        if order > limit:  # stop before n! grows any further
+            raise OrderBoundError(f"S{n}", order if k == n else f"{n}!", limit)
     perms = list(itertools.permutations(range(n)))  # element ids in this order
     labels = ["1"] + cycle_strings(perms[1:], n)
     return Group(_perm_table(np.array(perms, dtype=np.intp)), labels, f"S{n}")
 
 
-def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 1
-    return True
-
-
 def _heisenberg_group(p: int) -> Group:
     """Upper unitriangular 3x3 matrices over Z/p: order p^3, center of order p."""
-    if not _is_prime(p):
+    if p < 2 or any(p % d == 0 for d in range(2, math.isqrt(p) + 1)):
         raise ValueError(f"heisenberg parameter must be prime, got {p}")
     n = p**3
 
@@ -668,37 +675,31 @@ def _heisenberg_group(p: int) -> Group:
     return Group(table, labels, f"H{p}")
 
 
-def _check_bound(order: int, what: str, max_order: Optional[int]) -> None:
-    bound = max_order_bound(max_order)
-    if order > bound:
-        raise OrderBoundError(f"{what} order {order} exceeds the order bound {bound}")
-
-
-def builtin_group(family: str, param: Optional[int] = None, *, max_order: Optional[int] = None) -> Group:
+def builtin_group(family: str, param: Optional[int] = None) -> Group:
     """Construct a standard group: cyclic n, dihedral 2n, quaternion8, symmetric n, heisenberg p."""
     fam = family.strip().lower()
     if fam == "cyclic":
         if param is None or param < 1:
             raise ValueError("cyclic requires a positive order")
-        _check_bound(param, "cyclic group", max_order)
+        _order_limit(f"C{param}", param)
         return _cyclic_group(param)
     if fam == "dihedral":
         if param is None:
             raise ValueError("dihedral requires the group order (2n)")
-        _check_bound(param, "dihedral group", max_order)
+        _order_limit(f"D{param}", param)
         return _dihedral_group(param)
     if fam == "quaternion8":
         if param not in (None, 8):
             raise ValueError("quaternion8 takes no parameter (or 8)")
+        _order_limit("Q8", 8)
         return _quaternion_group()
     if fam == "symmetric":
         if param is None:
             raise ValueError("symmetric requires the degree")
-        return _symmetric_group(param, max_order)
+        return _symmetric_group(param)
     if fam == "heisenberg":
         if param is None:
             raise ValueError("heisenberg requires a prime")
-        if _is_prime(param):
-            _check_bound(param**3, "heisenberg group", max_order)
+        _order_limit(f"H{param}", param**3)  # before the primality test, whose cost grows with param
         return _heisenberg_group(param)
     raise ValueError(f"unknown builtin family {family!r} (expected one of {BUILTIN_FAMILIES})")

@@ -212,29 +212,23 @@ def center_poset(G: Group) -> CenterPoset:
 
 @per_group
 def is_f_group(G: Group) -> bool:
-    """True iff the proper element centralizers form an antichain.
+    """True iff the proper element centralizers form an antichain, that is,
+    ``f_group_chain_witness`` finds no chain.
 
-    Checked both on the centralizers and (dually) on the element centers;
-    the two views must agree.
+    Checked again, dually, on the element centers; the two views must agree.
     """
-    classes = [c for c in z_star_partition(G) if c.cent.mask != G.full_mask]
-    cents = [c.cent.mask for c in classes]
-    centers = [c.ecenter.mask for c in classes]
-
-    def antichain(ms: list[int]) -> bool:
-        return not any(
-            a != b and a & ~b == 0 for a in ms for b in ms
-        )
-
-    by_cents = antichain(cents)
-    by_centers = antichain(centers)
+    centers = [c.ecenter.mask for c in z_star_partition(G) if c.cent.mask != G.full_mask]
+    by_cents = f_group_chain_witness(G) is None
+    by_centers = not any(a != b and a & ~b == 0 for a in centers for b in centers)
     if by_cents != by_centers:
         raise InvariantViolation("centralizer and element-center antichain checks disagree")
     return by_cents
 
 
+@per_group
 def f_group_chain_witness(G: Group) -> Optional[tuple[int, int]]:
-    """Representatives (x, y) with C_G(x) properly inside C_G(y), if any."""
+    """Representatives (x, y) with C_G(x) properly inside C_G(y), if any;
+    the first such pair in class order, found once per group."""
     classes = [c for c in z_star_partition(G) if c.cent.mask != G.full_mask]
     for a in classes:
         for b in classes:

@@ -13,7 +13,7 @@ import centra as c
 from conftest import c1024_intercalate_table
 
 
-def run_cli(*args, env_extra=None, cwd=None):
+def run_cli(*args, env_extra=None, cwd=None, timeout=None):
     import os
 
     env = dict(os.environ)
@@ -25,6 +25,7 @@ def run_cli(*args, env_extra=None, cwd=None):
         text=True,
         env=env,
         cwd=cwd,
+        timeout=timeout,
     )
 
 
@@ -285,12 +286,45 @@ class TestExitCodes:
         res = run_cli("emit", "--builtin", "dihedral:8", "lattice-dot", str(tmp_path / "no" / "dir.dot"))
         assert res.returncode == 3
 
-    def test_max_order_env(self):
+    def test_table_bytes_env(self):
         res = run_cli(
-            "analyze", "--builtin", "symmetric:4", env_extra={"CENTRA_MAX_ORDER": "20"}
+            "analyze", "--builtin", "symmetric:4", env_extra={"CENTRA_TABLE_BYTES": str(2 * 20 * 20)}
         )
         assert res.returncode == 2
-        assert "bound" in res.stderr
+        assert res.stdout == ""
+        assert res.stderr == (
+            "centra: S4 order 24 exceeds 20, the largest order whose table fits in CENTRA_TABLE_BYTES\n"
+        )
+
+    def test_product_at_and_above_the_table_budget(self):
+        at = run_cli("analyze", "--product", "cyclic:3,dihedral:8", env_extra={"CENTRA_TABLE_BYTES": str(2 * 24 * 24)})
+        assert at.returncode == 0, at.stderr
+        above = run_cli("analyze", "--product", "cyclic:3,dihedral:8",
+                        env_extra={"CENTRA_TABLE_BYTES": str(2 * 24 * 24 - 1)})
+        assert above.returncode == 2
+        assert above.stdout == ""
+        assert above.stderr == (
+            "centra: C3xD8 order 24 exceeds 23, the largest order whose table fits in CENTRA_TABLE_BYTES\n"
+        )
+
+    @pytest.mark.parametrize("spec,message", [
+        ("symmetric:1000000", "S1000000 order 1000000! exceeds 23170"),
+        ("heisenberg:1000000000000000003", f"H1000000000000000003 order {(10**18 + 3) ** 3} exceeds 23170"),
+        ("cyclic:23171", "C23171 order 23171 exceeds 23170"),
+    ])
+    def test_huge_builtin_is_refused_at_once(self, spec, message):
+        # n! and the primality test of p are not worked out before the check
+        res = run_cli("analyze", "--builtin", spec, env_extra={"CENTRA_TABLE_BYTES": str(2**30)}, timeout=5)
+        assert res.returncode == 2
+        assert res.stdout == ""
+        assert res.stderr == f"centra: {message}, the largest order whose table fits in CENTRA_TABLE_BYTES\n"
+
+    @pytest.mark.parametrize("raw", ["0", "-1", "1GB", ""])
+    def test_bad_table_bytes_is_usage_error(self, raw):
+        res = run_cli("analyze", "--builtin", "dihedral:8", env_extra={"CENTRA_TABLE_BYTES": raw})
+        assert res.returncode == 2
+        assert res.stdout == ""
+        assert res.stderr == f"centra: CENTRA_TABLE_BYTES must be a positive integer number of bytes, got {raw!r}\n"
 
     def test_abelian_graph_emit_is_usage_error(self, tmp_path):
         res = run_cli("emit", "--builtin", "cyclic:4", "commuting-dot", str(tmp_path / "x.dot"))

@@ -99,27 +99,153 @@ def s4_generators():
     return [c.parse_cycle_notation("(1,2)", 4), c.parse_cycle_notation("(1,2,3,4)", 4)]
 
 
+def budget(limit):
+    """CENTRA_TABLE_BYTES whose largest admitted order is ``limit``: a uint16
+    table of ``limit`` elements, and one byte less refuses it."""
+    return str(2 * limit * limit)
+
+
+def over(name, order, limit):
+    return f"{name} order {order} exceeds {limit}, the largest order whose table fits in CENTRA_TABLE_BYTES"
+
+
 @pytest.mark.parametrize("bound", [1, 2, 12, 23])
-def test_generated_order_bound_below_the_order(bound):
+def test_generated_order_bound_below_the_order(bound, monkeypatch):
+    monkeypatch.setenv("CENTRA_TABLE_BYTES", budget(bound))
     with pytest.raises(c.OrderBoundError) as err:
-        c.group_from_generators(s4_generators(), max_order=bound)
-    assert str(err.value) == f"generated group exceeds the order bound {bound}"
+        c.group_from_generators(s4_generators())
+    assert str(err.value) == over("G", f"at least {bound + 1}", bound)
 
 
 def test_generated_order_bound_at_the_order(monkeypatch):
-    assert c.group_from_generators(s4_generators(), max_order=24).order == 24
-    monkeypatch.setenv("CENTRA_MAX_ORDER", "23")
-    with pytest.raises(c.OrderBoundError, match="exceeds the order bound 23"):
+    monkeypatch.setenv("CENTRA_TABLE_BYTES", budget(24))
+    assert c.group_from_generators(s4_generators()).order == 24
+    monkeypatch.setenv("CENTRA_TABLE_BYTES", str(2 * 24 * 24 - 1))
+    with pytest.raises(c.OrderBoundError, match="exceeds 23, the largest order"):
         c.group_from_generators(s4_generators())
 
 
-def test_symmetric_messages():
+def test_symmetric_messages(monkeypatch):
     with pytest.raises(ValueError) as err:
         c.builtin_group("symmetric", 0)
     assert str(err.value) == "symmetric group degree must be >= 1, got 0"
+    monkeypatch.setenv("CENTRA_TABLE_BYTES", budget(719))
     with pytest.raises(c.OrderBoundError) as err:
-        c.builtin_group("symmetric", 6, max_order=719)
-    assert str(err.value) == "S6 order 720 exceeds the order bound 719"
+        c.builtin_group("symmetric", 6)
+    assert str(err.value) == over("S6", 720, 719)
+    with pytest.raises(c.OrderBoundError) as err:  # n! is not multiplied out past the limit
+        c.builtin_group("symmetric", 10**6)
+    assert str(err.value) == over("S1000000", "1000000!", 719)
+
+
+# -- the table byte budget ---------------------------------------------------------
+
+
+def table_bytes(order):
+    return order * order * groups._table_dtype(order).itemsize
+
+
+def limit_at(budget_bytes, monkeypatch):
+    monkeypatch.setenv("CENTRA_TABLE_BYTES", str(budget_bytes))
+    return groups._order_limit("G", 0)
+
+
+def test_default_budget_admits_orders_to_23170(monkeypatch):
+    monkeypatch.delenv("CENTRA_TABLE_BYTES", raising=False)
+    assert groups._order_limit("G") == 23170
+    assert table_bytes(23170) <= 2**30 < table_bytes(23171)
+    with pytest.raises(c.OrderBoundError, match="^C23171 order 23171 exceeds 23170, "):
+        groups._order_limit("C23171", 23171)
+
+
+@pytest.mark.parametrize("budget_bytes", [
+    1, 2, 7, 8, 9, 2**30,
+    table_bytes(1 << 16) - 1, table_bytes(1 << 16), table_bytes(1 << 16) + 1,
+    table_bytes((1 << 16) + 1) - 1, table_bytes((1 << 16) + 1), table_bytes((1 << 16) + 1) + 1,
+    table_bytes(70000), 10**12, 10**15 + 7,
+])
+def test_limit_is_the_largest_order_that_fits(budget_bytes, monkeypatch):
+    # around the uint16/uint32 step at 65 536 / 65 537 too; no table is built
+    limit = limit_at(budget_bytes, monkeypatch)
+    assert table_bytes(limit) <= budget_bytes or limit == 0
+    assert table_bytes(limit + 1) > budget_bytes
+
+
+def test_uint32_step(monkeypatch):
+    assert limit_at(table_bytes(1 << 16), monkeypatch) == 1 << 16
+    assert limit_at(table_bytes((1 << 16) + 1) - 1, monkeypatch) == 1 << 16
+    assert limit_at(table_bytes((1 << 16) + 1), monkeypatch) == (1 << 16) + 1
+
+
+@pytest.mark.parametrize("raw", ["0", "-1", "abc", "1.5", "1e9", ""])
+def test_budget_must_be_a_positive_integer(raw, monkeypatch):
+    monkeypatch.setenv("CENTRA_TABLE_BYTES", raw)
+    with pytest.raises(ValueError) as err:
+        c.builtin_group("cyclic", 2)
+    assert not isinstance(err.value, c.OrderBoundError)
+    assert str(err.value) == f"CENTRA_TABLE_BYTES must be a positive integer number of bytes, got {raw!r}"
+
+
+def construction_paths(tmp_path):
+    """Every construction path: its (name, order, build), ``build`` reading
+    the budget that is set when it is called."""
+    s4 = s4_generators()
+    gens_file = tmp_path / "s4.gens"
+    gens_file.write_text("perm 4\n(1,2)\n(1,2,3,4)\n")
+    d8_text = c.cayley_table_text(c.builtin_group("dihedral", 8))
+    table_file = tmp_path / "d8.table"
+    table_file.write_text(d8_text)
+    c2, c3, c4 = (c.builtin_group("cyclic", n) for n in (2, 3, 4))
+    return {
+        "cyclic": ("C12", 12, lambda: c.builtin_group("cyclic", 12)),
+        "dihedral": ("D12", 12, lambda: c.builtin_group("dihedral", 12)),
+        "quaternion8": ("Q8", 8, lambda: c.builtin_group("quaternion8")),
+        "symmetric": ("S4", 24, lambda: c.builtin_group("symmetric", 4)),
+        "heisenberg": ("H3", 27, lambda: c.builtin_group("heisenberg", 3)),
+        "generators": ("G", 24, lambda: c.group_from_generators(s4)),
+        "generator_file": ("s4", 24, lambda: c.group_from_generator_file(gens_file)),
+        "cayley_text": ("table", 8, lambda: c.parse_cayley_table_text(d8_text)),
+        "cayley_file": ("d8", 8, lambda: c.group_from_cayley_table(table_file)),
+        "product": ("C3xC4", 12, lambda: c.direct_product(c3, c4)),
+        "nested_product": ("C2xC3xC2", 12, lambda: c.direct_product(c.direct_product(c2, c3), c2)),
+    }
+
+
+@pytest.mark.parametrize("path", [
+    "cyclic", "dihedral", "quaternion8", "symmetric", "heisenberg", "generators",
+    "generator_file", "cayley_text", "cayley_file", "product", "nested_product",
+])
+def test_every_path_admits_the_limit_and_refuses_one_above(path, tmp_path, monkeypatch):
+    name, order, build = construction_paths(tmp_path)[path]
+    monkeypatch.setenv("CENTRA_TABLE_BYTES", budget(order))
+    assert build().order == order
+    monkeypatch.setenv("CENTRA_TABLE_BYTES", str(2 * order * order - 1))
+    with pytest.raises(c.OrderBoundError) as err:
+        build()
+    shown = f"at least {order}" if name in ("G", "s4") else order
+    assert str(err.value) == over(name, shown, order - 1)
+
+
+@pytest.mark.parametrize("name,order,build", [
+    ("C2000", 2000, lambda: c.builtin_group("cyclic", 2000)),
+    ("D2000", 2000, lambda: c.builtin_group("dihedral", 2000)),
+    ("S7", 5040, lambda: c.builtin_group("symmetric", 7)),
+    ("H13", 2197, lambda: c.builtin_group("heisenberg", 13)),
+    ("C40xC50", 2000, lambda: c.direct_product(c.builtin_group("cyclic", 40), c.builtin_group("cyclic", 50))),
+    ("table", 2000, lambda: c.parse_cayley_table_text("2000\n")),  # refused before its rows are read
+], ids=["cyclic", "dihedral", "symmetric", "heisenberg", "product", "cayley_text"])
+def test_refused_before_the_table_is_allocated(name, order, build, monkeypatch):
+    import tracemalloc
+
+    monkeypatch.setenv("CENTRA_TABLE_BYTES", budget(order - 1))
+    tracemalloc.start()
+    try:
+        with pytest.raises(c.OrderBoundError, match=f"^{name} order {order} exceeds {order - 1}, "):
+            build()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < table_bytes(order) // 8
 
 
 @pytest.mark.parametrize("gens,degree,message", [

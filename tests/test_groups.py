@@ -97,10 +97,14 @@ class TestBuiltins:
             c.builtin_group(family, param)
 
     def test_builtin_order_bounds(self, monkeypatch):
-        monkeypatch.setenv("CENTRA_MAX_ORDER", "20")
-        for family, param in [("cyclic", 64), ("dihedral", 32), ("heisenberg", 3)]:
-            with pytest.raises(c.OrderBoundError):
+        monkeypatch.setenv("CENTRA_TABLE_BYTES", str(2 * 20 * 20))  # orders up to 20
+        for family, param, name, order in [("cyclic", 64, "C64", 64), ("dihedral", 32, "D32", 32),
+                                           ("heisenberg", 3, "H3", 27), ("symmetric", 4, "S4", 24)]:
+            with pytest.raises(c.OrderBoundError) as err:
                 c.builtin_group(family, param)
+            assert str(err.value) == (
+                f"{name} order {order} exceeds 20, the largest order whose table fits in CENTRA_TABLE_BYTES"
+            )
 
     def test_elem_set_universe_guard(self, d8, q8):
         s = d8.elem_set([0, 1])
@@ -136,10 +140,11 @@ class TestGeneratedGroups:
         with pytest.raises(ValueError, match="degree mismatch"):
             c.group_from_generators(gens)
 
-    def test_order_bound(self):
+    def test_order_bound(self, monkeypatch):
         gens = [c.parse_cycle_notation("(1,2)", 4), c.parse_cycle_notation("(1,2,3,4)", 4)]
-        with pytest.raises(c.OrderBoundError):
-            c.group_from_generators(gens, max_order=10)
+        monkeypatch.setenv("CENTRA_TABLE_BYTES", str(2 * 10 * 10))  # orders up to 10
+        with pytest.raises(c.OrderBoundError, match="^S4 order at least 11 exceeds 10, "):
+            c.group_from_generators(gens, name="S4")
 
     def test_numbering_is_bfs_deterministic(self):
         gens = [c.parse_cycle_notation("(1,2)", 3), c.parse_cycle_notation("(1,2,3)", 3)]
@@ -391,13 +396,17 @@ class TestDirectProduct:
             a != b and a & ~b == 0 for a in masks for b in masks
         )
 
-    def test_order_bound(self, d8):
-        with pytest.raises(c.OrderBoundError):
-            c.direct_product(d8, d8, max_order=32)
+    def test_order_bound(self, d8, monkeypatch):
+        monkeypatch.setenv("CENTRA_TABLE_BYTES", str(2 * 32 * 32))  # orders up to 32
+        with pytest.raises(c.OrderBoundError) as err:
+            c.direct_product(d8, d8)
+        assert str(err.value) == "D8xD8 order 64 exceeds 32, the largest order whose table fits in CENTRA_TABLE_BYTES"
 
     def test_env_bound(self, d8, monkeypatch):
-        monkeypatch.setenv("CENTRA_MAX_ORDER", "32")
-        with pytest.raises(c.OrderBoundError):
+        monkeypatch.setenv("CENTRA_TABLE_BYTES", str(2 * 64 * 64))  # orders up to 64
+        assert c.direct_product(d8, d8).order == 64
+        monkeypatch.setenv("CENTRA_TABLE_BYTES", str(2 * 64 * 64 - 1))
+        with pytest.raises(c.OrderBoundError, match="^D8xD8 order 64 exceeds 63, "):
             c.direct_product(d8, d8)
 
 
