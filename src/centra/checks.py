@@ -267,16 +267,15 @@ def lattice_suite(G: Group, rng: random.Random, samples: int) -> list[PropertyRe
     lat = build_lattice(G)
     nodes = lat.nodes
     k = len(nodes)
-    label = lat.node_label
 
     s.check("nodes_are_closure_fixed_points",
-            (f"node {label(i)}" for i, node in enumerate(nodes) if closure(G, node).mask != node.mask),
+            (f"node {lat.labels[i]}" for i, node in enumerate(nodes) if closure(G, node).mask != node.mask),
             f"{k} nodes")
 
     dual = lat.dual
     s.check("duality_involution",
             ["dual is not a bijection"] if sorted(dual) != list(range(k))
-            else (f"dual(dual({label(i)})) != itself" for i in range(k) if dual[dual[i]] != i))
+            else (f"dual(dual({lat.labels[i]})) != itself" for i in range(k) if dual[dual[i]] != i))
 
     if k * k > 4 * samples and k > 40:
         pair_idx = [
@@ -285,7 +284,7 @@ def lattice_suite(G: Group, rng: random.Random, samples: int) -> list[PropertyRe
     else:
         pair_idx = [(i, j) for i in range(k) for j in range(k)]
     s.check("duality_order_reversing",
-            (f"{label(i)} vs {label(j)}" for i, j in pair_idx
+            (f"{lat.labels[i]} vs {lat.labels[j]}" for i, j in pair_idx
              if lat.leq(i, j) != lat.leq(dual[j], dual[i])),
             f"{len(pair_idx)} node pairs")
 
@@ -302,16 +301,16 @@ def lattice_suite(G: Group, rng: random.Random, samples: int) -> list[PropertyRe
             H, K = node_masks[i], node_masks[j]
             m, jn = meet(H, K), join(H, K)
             if m != H & K:
-                yield f"meet({label(i)},{label(j)})"
+                yield f"meet({lat.labels[i]},{lat.labels[j]})"
             # Join must be the least node holding both: just the nodes holding both hold it.
             if up[jn] != up[H] & up[K]:
-                yield f"join({label(i)},{label(j)})"
+                yield f"join({lat.labels[i]},{lat.labels[j]})"
 
     s.check("meet_join_closed_and_least", meet_join_failures(), f"{len(pair_idx)} node pairs")
 
     ustar = lat.ustar
     s.check("ustar_intersection_law",
-            (f"U*({label(i)} v {label(j)})" for i, j in pair_idx
+            (f"U*({lat.labels[i]} v {lat.labels[j]})" for i, j in pair_idx
              if ustar[lat.index_of(node[join(node_masks[i], node_masks[j])])].mask
              != ustar[i].mask & ustar[j].mask),
             f"{len(pair_idx)} node pairs")
@@ -324,9 +323,9 @@ def lattice_suite(G: Group, rng: random.Random, samples: int) -> list[PropertyRe
         for i, j, l in triples:
             H, K, L = node_masks[i], node_masks[j], node_masks[l]
             if meet(H, H) != H or join(H, H) != H:
-                yield f"idempotence at {label(i)}"
+                yield f"idempotence at {lat.labels[i]}"
             if meet(H, K) != meet(K, H) or join(H, K) != join(K, H):
-                yield f"commutativity at {label(i)},{label(j)}"
+                yield f"commutativity at {lat.labels[i]},{lat.labels[j]}"
             if meet(meet(H, K), L) != meet(H, meet(K, L)):
                 yield "meet associativity"
             if join(join(H, K), L) != join(H, join(K, L)):
@@ -418,15 +417,15 @@ def partition_suite(G: Group, rng: random.Random, samples: int) -> list[Property
             total = 0
             for c in np.flatnonzero(row).tolist():
                 if total & members[c]:
-                    yield f"union not disjoint inside {lat.node_label(i)}"
+                    yield f"union not disjoint inside {lat.labels[i]}"
                 total |= members[c]
             if total != hm:
-                yield f"node {lat.node_label(i)} is not the union of its Z*-classes"
+                yield f"node {lat.labels[i]} is not the union of its Z*-classes"
 
     s.check("partition_theorem_on_lattice", theorem_failures(), f"{len(lat.nodes)} nodes")
 
     s.check("ustar_recovers_nodes",
-            (f"C(U*) != H at {lat.node_label(i)}" for i, (node, u) in enumerate(zip(lat.nodes, lat.ustar))
+            (f"C(U*) != H at {lat.labels[i]}" for i, (node, u) in enumerate(zip(lat.nodes, lat.ustar))
              if centralizer_mask(G, u.mask) != node.mask))
 
     if n <= POWERSET_ORACLE_LIMIT:
@@ -461,7 +460,7 @@ def moebius_suite(G: Group, rng: random.Random, samples: int) -> list[PropertyRe
     expected = values - np.einsum("ji,j->i", sub, values)  # buffered: no int64 copy of sub
     expected[mn] = 1
     s.check("recursion_reverified",
-            (f"mu mismatch at {poset.node_label(i)}" for i in np.flatnonzero(values != expected)[:1].tolist()),
+            (f"mu mismatch at {poset.labels[i]}" for i in np.flatnonzero(values != expected)[:1].tolist()),
             f"{len(masks)} nodes")
     s.check("unique_minimum", [] if sub[mn].all() else ["no unique minimum"])
 
@@ -489,7 +488,7 @@ def moebius_suite(G: Group, rng: random.Random, samples: int) -> list[PropertyRe
 
     if is_f_group(G):
         s.check("f_group_mu_is_minus_one",
-                (f"mu({poset.node_label(i)}) = {m}" for i, m in enumerate(mu) if i != mn and m != -1))
+                (f"mu({poset.labels[i]}) = {m}" for i, m in enumerate(mu) if i != mn and m != -1))
     else:
         s.skip("f_group_mu_is_minus_one", "not an F-group")
     return s.results

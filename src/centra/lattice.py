@@ -12,12 +12,17 @@ from .sets import ElemSet, Subgroup, ids_from_mask
 NodeLike = Union[int, Subgroup, ElemSet]
 
 
+_BIT_REVERSED = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
+
+
 def _sorted_masks(order: int, masks) -> list[int]:
     """Masks by size, then by ascending member list.  Of two masks of one size,
     the one holding their lowest differing id comes first, so the member lists
-    compare as the complements' bit strings read from bit 0 up."""
+    compare as the complements' bit strings read from bit 0 up: little-endian
+    bytes with the bits of each byte reversed."""
     full = (1 << order) - 1
-    return sorted(masks, key=lambda m: (m.bit_count(), format(full ^ m, f"0{order}b")[::-1]))
+    width = (order + 7) // 8
+    return sorted(masks, key=lambda m: (m.bit_count(), (full ^ m).to_bytes(width, "little").translate(_BIT_REVERSED)))
 
 
 class _NodeOrder:
@@ -67,9 +72,6 @@ class _NodeOrder:
     @per_group
     def labels(self) -> tuple[str, ...]:
         return tuple(subgroup_label(self.group, node) for node in self.nodes)
-
-    def node_label(self, i: int) -> str:
-        return self.labels[i]
 
     @property
     @per_group
@@ -160,22 +162,17 @@ class CentLattice(_NodeOrder):
 
 @per_group
 def build_lattice(G: Group) -> CentLattice:
-    """Close {G} under intersection with the distinct element centralizers.
+    """Every intersection of distinct element centralizers, G being the empty one.
 
     By the intersection law every C_G(S) is the intersection of the C_G(s),
     s in S, so this yields every centralizer without touching the power set.
+    Element centralizers join one at a time, smallest first: after each, the
+    set holds every intersection of those added so far.  The order changes
+    only the cost, which the sum of the set sizes bounds.
     """
-    gens = set(G.cent_masks)
-    gens.discard(G.full_mask)
     masks = {G.full_mask}
-    worklist = [G.full_mask]
-    while worklist:
-        m = worklist.pop()
-        for g in gens:
-            x = m & g
-            if x not in masks:
-                masks.add(x)
-                worklist.append(x)
+    for g in sorted(set(G.cent_masks) - masks, key=int.bit_count):
+        masks |= {m & g for m in masks}
     return CentLattice(G, list(masks))
 
 

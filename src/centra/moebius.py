@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field
 from functools import wraps
 from typing import Callable, Optional
 
@@ -83,9 +83,9 @@ class CongruenceReport:
         self.lines.append(CongruenceLine(label, lhs, rhs, lm, rm, lhs == rhs))
 
     def as_dict(self) -> dict:
-        d = asdict(self)
-        d["ok"] = self.ok
-        return d
+        """``dataclasses.asdict`` plus ``ok``, without its deep copies."""
+        return {"check": self.check, "group": self.group, "p": self.p,
+                "lines": [dict(vars(line)) for line in self.lines], "ok": self.ok}
 
 
 def p_group_prime(order: int) -> Optional[int]:
@@ -181,10 +181,10 @@ def check_mob_sums(G: Group, p: int) -> CongruenceReport:
         hm = node.mask
         if hm != center_mask:
             total = sum(mu for _, mu, zm in noncentral if zm & ~hm == 0)
-            report.add(f"centers within {lat.node_label(i)}", total, -1)
+            report.add(f"centers within {lat.labels[i]}", total, -1)
         if hm != full:
             total = sum(mu for cm, mu, _ in noncentral if hm & ~cm == 0)
-            report.add(f"centralizers above {lat.node_label(i)}", total, -1)
+            report.add(f"centralizers above {lat.labels[i]}", total, -1)
     return report
 
 
@@ -211,5 +211,5 @@ def check_f_group_counts(G: Group, p: int) -> CongruenceReport:
     report.add("number of non-central element centers", len(classes), 1)
     for i, m in enumerate(table.mu):
         if i != poset.min_index:
-            report.add_exact(f"mu at {poset.node_label(i)}", m, -1)
+            report.add_exact(f"mu at {poset.labels[i]}", m, -1)
     return report

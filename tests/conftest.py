@@ -163,6 +163,31 @@ def pairwise_lattice_masks(G):
     return masks
 
 
+def worklist_lattice_masks(G):
+    """Lattice node masks by the former worklist: {G} closed under
+    intersection with every distinct element centralizer, each new mask
+    intersected with all of them in turn."""
+    gens = set(G.cent_masks)
+    gens.discard(G.full_mask)
+    masks = {G.full_mask}
+    worklist = [G.full_mask]
+    while worklist:
+        m = worklist.pop()
+        for g in gens:
+            x = m & g
+            if x not in masks:
+                masks.add(x)
+                worklist.append(x)
+    return masks
+
+
+def former_bit_string_key(order):
+    """The former ``_sorted_masks`` key: size, then the complement's bits as
+    a string read from bit 0 up."""
+    full = (1 << order) - 1
+    return lambda m: (m.bit_count(), format(full ^ m, f"0{order}b")[::-1])
+
+
 def former_node_sort_key(mask):
     """The former node order: by size, then by the ascending member list."""
     return (mask.bit_count(), ids_from_mask(mask))
@@ -401,29 +426,31 @@ def by_label(G, *labels):
 # -- extra constructions -------------------------------------------------------
 
 
-def unitriangular4_generators(p):
-    """Generators of UT(4, p) acting on the p^4 column vectors (degree p^4)."""
-    pts = list(itertools.product(range(p), repeat=4))
+def unitriangular_generators(n, p):
+    """Generators of UT(n, p) acting on the p^n column vectors (degree p^n):
+    the n - 1 transvections I + E(i, i+1)."""
+    pts = list(itertools.product(range(p), repeat=n))
     idx = {v: i for i, v in enumerate(pts)}
 
     def perm_of(mat):
         images = []
         for v in pts:
-            w = tuple(sum(mat[i][j] * v[j] for j in range(4)) % p for i in range(4))
+            w = tuple(sum(mat[i][j] * v[j] for j in range(n)) % p for i in range(n))
             images.append(idx[w])
         return c.Permutation(images)
 
     def transvection(i, j):
-        m = [[1 if a == b else 0 for b in range(4)] for a in range(4)]
+        m = [[1 if a == b else 0 for b in range(n)] for a in range(n)]
         m[i][j] = 1
         return m
 
-    return [perm_of(transvection(0, 1)), perm_of(transvection(1, 2)), perm_of(transvection(2, 3))]
+    return [perm_of(transvection(i, i + 1)) for i in range(n - 1)]
 
 
-def unitriangular4(p):
-    """UT(4, p) acting on the p^4 column vectors; order p^6, non-F."""
-    return c.group_from_generators(unitriangular4_generators(p), name=f"UT4({p})")
+def unitriangular(n, p):
+    """UT(n, p) acting on the p^n column vectors; order p^(n(n-1)/2).
+    UT(4, p) is non-F."""
+    return c.group_from_generators(unitriangular_generators(n, p), name=f"UT{n}({p})")
 
 
 # -- naive constructors: one Python step per table entry -----------------------
@@ -661,7 +688,7 @@ def h3():
 @pytest.fixture(scope="session")
 def ut43xc3():
     """UT(4,3) x C3, order 3^7: the largest group the tests build."""
-    return c.direct_product(unitriangular4(3), c.builtin_group("cyclic", 3))
+    return c.direct_product(unitriangular(4, 3), c.builtin_group("cyclic", 3))
 
 
 @pytest.fixture(scope="session")
@@ -682,7 +709,7 @@ def fleet(d8, q8, h3):
         "D8xC2": c.direct_product(d8, c2),
         "D8xD8": c.direct_product(d8, d8),
         "H3xH3": c.direct_product(h3, h3),
-        "UT4_2": unitriangular4(2),
+        "UT4_2": unitriangular(4, 2),
     }
 
 
@@ -701,7 +728,7 @@ def order_fleet(s4, q8, h3):
         "Q8": q8,
         "H3": h3,
         "H5": c.builtin_group("heisenberg", 5),
-        "UT4_3": unitriangular4(3),
+        "UT4_3": unitriangular(4, 3),
     }
 
 

@@ -12,7 +12,7 @@ from conftest import (
     naive_permutation_group,
     naive_quaternion,
     naive_symmetric,
-    unitriangular4_generators,
+    unitriangular_generators,
 )
 
 
@@ -48,7 +48,7 @@ def test_heisenberg(p):
 
 
 def test_generated_ut4_3():
-    gens = unitriangular4_generators(3)
+    gens = unitriangular_generators(4, 3)
     G = c.group_from_generators(gens, name="UT")
     assert G.order == 729
     assert_matches(G, naive_permutation_group(gens), "UT")

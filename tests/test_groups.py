@@ -17,8 +17,8 @@ from conftest import (
     naive_generated,
     paired_inverse_table,
     swap_intercalate,
-    unitriangular4,
-    unitriangular4_generators,
+    unitriangular,
+    unitriangular_generators,
 )
 
 # Found by backtracking over latin squares with identity row/column and paired
@@ -287,7 +287,7 @@ CONSTRUCTIONS = {
     "quaternion8": lambda tmp: c.builtin_group("quaternion8"),
     "symmetric:4": lambda tmp: c.builtin_group("symmetric", 4),
     "heisenberg:3": lambda tmp: c.builtin_group("heisenberg", 3),
-    "generators": lambda tmp: c.group_from_generators(unitriangular4_generators(2)),
+    "generators": lambda tmp: c.group_from_generators(unitriangular_generators(4, 2)),
     "generator file": lambda tmp: c.group_from_generator_file(_write(tmp, "s3.gens", "perm 3\n(1,2)\n(1,2,3)\n")),
     "cayley file": lambda tmp: c.group_from_cayley_table(_write(tmp, "c3.tbl", "3\n0 1 2\n1 2 0\n2 0 1\n")),
     "Group(lists)": lambda tmp: c.Group([[0, 1], [1, 0]]),
@@ -355,7 +355,7 @@ class TestTableDtype:
         degree oracle (each ``table == table.T``) read the table in row
         blocks, so the traced peak of all three stays within 1 MB of what
         they keep: the 9.6 MB uint16 table, the masks, graphs and results."""
-        UT, C3 = unitriangular4(3), c.builtin_group("cyclic", 3)
+        UT, C3 = unitriangular(4, 3), c.builtin_group("cyclic", 3)
         tracemalloc.start()
         try:
             G = c.direct_product(UT, C3)

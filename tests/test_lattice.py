@@ -6,6 +6,7 @@ import centra as c
 from conftest import (
     ORDER_FLEET,
     by_label,
+    former_bit_string_key,
     former_node_sort_key,
     former_transversal_error,
     label_set,
@@ -15,7 +16,10 @@ from conftest import (
     naive_centralizer,
     naive_u_star,
     pairwise_lattice_masks,
+    unitriangular,
+    worklist_lattice_masks,
 )
+from centra.lattice import _sorted_masks
 from centra.sets import ids_from_mask
 
 
@@ -65,6 +69,19 @@ class TestBuildLattice:
     def test_matches_pairwise_closure(self, order_fleet, name):
         G = order_fleet[name]
         assert {n.mask for n in c.build_lattice(G).nodes} == pairwise_lattice_masks(G)
+
+    @pytest.mark.parametrize("name", ORDER_FLEET + ("UT4_3xC3", "D8xS3", "UT5_2"))
+    def test_matches_worklist_closure(self, order_fleet, ut43xc3, d8, s3, name):
+        extra = {
+            "UT4_3xC3": lambda: ut43xc3,
+            "D8xS3": lambda: c.direct_product(d8, s3),
+            "UT5_2": lambda: unitriangular(5, 2),
+        }
+        G = extra[name]() if name in extra else order_fleet[name]
+        masks = {n.mask for n in c.build_lattice(G).nodes}
+        assert masks == worklist_lattice_masks(G)
+        if name == "UT5_2":
+            assert G.order == 1024 and len(masks) == 3885
 
     def test_nodes_are_fixed_points(self, fleet):
         for G in fleet.values():
@@ -295,6 +312,16 @@ class TestNodeOrder:
         obj = c.build_lattice(G) if kind == "lattice" else c.center_poset(G)
         masks = [node.mask for node in obj.nodes]
         assert masks == sorted(masks, key=former_node_sort_key)
+
+    @pytest.mark.parametrize("order", [1, 7, 8, 9, 13, 64, 65])
+    def test_byte_key_matches_bit_string_key(self, order):
+        rng = random.Random(order)
+        full = (1 << order) - 1
+        masks = {rng.getrandbits(order) for _ in range(300)}
+        # Same-size masks, with long shared prefixes and suffixes, and the extremes.
+        masks |= {full ^ (1 << i) for i in range(order)} | {1 << i for i in range(order)} | {0, full}
+        masks |= {m & ~(full >> (order // 2)) for m in list(masks)}
+        assert _sorted_masks(order, masks) == sorted(masks, key=former_bit_string_key(order))
 
     def test_all_subgroups_match_member_list_key(self, small_groups):
         for G in small_groups.values():

@@ -1,3 +1,6 @@
+import json
+from dataclasses import asdict
+
 import pytest
 
 import centra as c
@@ -196,9 +199,20 @@ class TestOncePerGroup:
 
 
 class TestReportShape:
-    def test_as_dict_roundtrips_to_json(self, d8):
-        import json
+    def test_as_dict_is_asdict_plus_ok(self, fleet):
+        reports = [
+            check(G)
+            for G in fleet.values()
+            for check in TestOncePerGroup.CHECKS
+            if check is not c.check_f_group_counts or c.is_f_group(G)
+        ]
+        assert {r.check for r in reports} == {"class_size_congruence", "mob_sums", "f_group_counts"}
+        for rep in reports:
+            expected = asdict(rep) | {"ok": rep.ok}
+            assert rep.as_dict() == expected
+            assert json.dumps(rep.as_dict()) == json.dumps(expected)  # key order, nested too
 
+    def test_as_dict_roundtrips_to_json(self, d8):
         rep = c.check_mob_sums(d8)
         blob = json.dumps(rep.as_dict(), sort_keys=True)
         back = json.loads(blob)
