@@ -35,7 +35,7 @@ from .graphs import (
     quotient_consistency,
     transversal_graph,
 )
-from .groups import Group, _bool_row_mask, _row_step, is_subgroup, subgroup_generated_by
+from .groups import Group, _bool_row_mask, _row_blocks, is_subgroup, subgroup_generated_by
 from .lattice import build_lattice, center_poset, is_f_group
 from .moebius import (
     check_class_size_congruence,
@@ -64,12 +64,7 @@ class PropertyResult:
         return self.status == "fail"
 
     def as_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "status": self.status,
-            "detail": self.detail,
-            "witness": self.witness,
-        }
+        return dict(vars(self))
 
 
 def _mask_str(mask: int) -> str:
@@ -502,10 +497,9 @@ def graphs_suite(G: Group, rng: random.Random, samples: int) -> list[PropertyRes
     # The degree oracles count commuting partners from the table itself, never
     # from the centralizer masks or the graphs under test: |C(v)| per element,
     # from ``table == table.T`` in blocks of rows.
-    table, step = G.table, _row_step(G.order)
     cent_sizes: list[int] = []
-    for lo in range(0, G.order, step):
-        cent_sizes += (table[lo : lo + step] == table[:, lo : lo + step].T).sum(axis=1).tolist()
+    for rows in _row_blocks(G.order):
+        cent_sizes += (G.table[rows] == G.table[:, rows].T).sum(axis=1).tolist()
     zsize = cent_sizes.count(G.order)
     com = commuting_graph(G)
     s.check("commuting_degree_formula",

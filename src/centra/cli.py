@@ -55,17 +55,17 @@ ARTIFACTS = ("lattice-dot", "poset-dot", "commuting-dot", "centgraph-dot", "degr
 
 def _group_from_atom(atom: str) -> Group:
     """One group spec atom: ``family:params``, ``table:path``, or ``gens:path``."""
-    if ":" in atom:
-        head, rest = atom.split(":", 1)
-    else:
-        head, rest = atom, ""
+    head, _, rest = atom.partition(":")
     head = head.strip().lower()
     if head == "table":
         return group_from_cayley_table(rest)
     if head == "gens":
         return group_from_generator_file(rest)
     if head in BUILTIN_FAMILIES:
-        param = int(rest) if rest else None
+        try:
+            param = int(rest) if rest else None
+        except ValueError:
+            raise ValueError(f"group spec {atom!r}: parameter {rest!r} is not an integer") from None
         return builtin_group(head, param)
     raise ValueError(
         f"unrecognized group spec {atom!r}: expected <family>:<param>, table:<path>, or gens:<path>"

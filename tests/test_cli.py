@@ -225,6 +225,18 @@ class TestExitCodes:
         assert res.returncode == 2
         assert "centra:" in res.stderr
 
+    @pytest.mark.parametrize("flag,spec,param", [
+        ("--builtin", "cyclic:abc", "abc"),
+        ("--builtin", "cyclic:3:4", "3:4"),
+        ("--product", "cyclic:2,dihedral:8x", "8x"),
+    ])
+    def test_non_integer_parameter_is_usage_error(self, flag, spec, param):
+        res = run_cli("analyze", flag, spec)
+        atom = spec.split(",")[-1]
+        assert res.returncode == 2
+        assert res.stdout == ""
+        assert res.stderr == f"centra: group spec {atom!r}: parameter {param!r} is not an integer\n"
+
     def test_product_arity_enforced(self):
         res = run_cli("analyze", "--product", "cyclic:2,cyclic:2,cyclic:2")
         assert res.returncode == 2
@@ -311,9 +323,12 @@ class TestExitCodes:
         ("symmetric:1000000", "S1000000 order 1000000! exceeds 23170"),
         ("heisenberg:1000000000000000003", f"H1000000000000000003 order {(10**18 + 3) ** 3} exceeds 23170"),
         ("cyclic:23171", "C23171 order 23171 exceeds 23170"),
+        ("cyclic:100000000000", "C100000000000 order 100000000000 exceeds 23170"),
+        ("dihedral:100000000002", "D100000000002 order 100000000002 exceeds 23170"),
     ])
     def test_huge_builtin_is_refused_at_once(self, spec, message):
-        # n! and the primality test of p are not worked out before the check
+        # n! and the primality test of p are not worked out before the check,
+        # nor any array that grows with the order
         res = run_cli("analyze", "--builtin", spec, env_extra={"CENTRA_TABLE_BYTES": str(2**30)}, timeout=5)
         assert res.returncode == 2
         assert res.stdout == ""

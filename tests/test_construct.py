@@ -60,17 +60,79 @@ def test_generated_from_no_generators(degree):
     assert_matches(G, naive_permutation_group([], degree), "G")
 
 
+# S3 on points 1-3 and four transpositions of far-apart points of degree 4096
+LONG_BASE_CYCLES = ["(1,2,3)", "(1,2)", "(100,101)", "(1000,1001)", "(2000,2001)", "(4095,4096)"]
+
+
 def test_generated_with_long_base_of_high_degree():
-    # S3 on points 1-3 and four transpositions of far-apart points: every base
-    # needs 6 points, and mixed-radix keys over 6 points of degree 4096 reach
-    # 4096**6 = 2**72, past int64.
+    # Every base needs 6 points, and mixed-radix keys over 6 points of degree
+    # 4096 reach 4096**6 = 2**72, past int64.
     deg = 4096
-    cycles = ["(1,2,3)", "(1,2)", "(100,101)", "(1000,1001)", "(2000,2001)", "(4095,4096)"]
-    gens = [c.parse_cycle_notation(cyc, deg) for cyc in cycles]
+    gens = [c.parse_cycle_notation(cyc, deg) for cyc in LONG_BASE_CYCLES]
     assert deg**6 > np.iinfo(np.int64).max
     G = c.group_from_generators(gens)
     assert G.order == 96
     assert_matches(G, naive_permutation_group(gens), "G")
+
+
+NAIVE_BUILTINS = {
+    "cyclic": naive_cyclic,
+    "dihedral": naive_dihedral,
+    "quaternion8": lambda _: naive_quaternion(),
+    "symmetric": naive_symmetric,
+    "heisenberg": naive_heisenberg,
+}
+
+
+@pytest.mark.parametrize("family,param,name", [
+    *(("cyclic", n, f"C{n}") for n in range(1, 10)),
+    *(("dihedral", order, f"D{order}") for order in range(2, 17, 2)),
+    ("quaternion8", None, "Q8"),
+    *(("symmetric", n, f"S{n}") for n in range(1, 6)),
+    *(("heisenberg", p, f"H{p}") for p in (2, 3, 5)),
+])
+def test_builtins_in_small_row_blocks(family, param, name, monkeypatch):
+    # At 16 entries a block every table above order 4 spans several row
+    # blocks, and D6's second block (rows 2 and 3) holds a rotation and a
+    # reflection.  Validation and cent_masks read the table in the same blocks.
+    monkeypatch.setattr(groups, "BLOCK_ENTRIES", 16)
+    G = c.builtin_group(family, param)
+    table, labels = NAIVE_BUILTINS[family](param)
+    assert_matches(G, (table, labels), name)
+    n = len(table)
+    commuting = [sum(1 << h for h in range(n) if table[g][h] == table[h][g]) for g in range(n)]
+    assert G.cent_masks == tuple(commuting)
+
+
+@pytest.mark.parametrize("case", ["ut4_3", "no_generators", "long_base"])
+def test_generated_in_small_row_blocks(case, monkeypatch):
+    monkeypatch.setattr(groups, "BLOCK_ENTRIES", 16)  # one found element, one table row per block
+    gens, degree = {
+        "ut4_3": (unitriangular_generators(4, 3), None),
+        "no_generators": ([], 3),
+        "long_base": ([c.parse_cycle_notation(cyc, 4096) for cyc in LONG_BASE_CYCLES], None),
+    }[case]
+    G = c.group_from_generators(gens, degree=degree)
+    assert_matches(G, naive_permutation_group(gens, degree), "G")
+
+
+@pytest.mark.parametrize("build", [
+    lambda: c.builtin_group("cyclic", 2000),
+    lambda: c.builtin_group("dihedral", 2000),
+    lambda: c.builtin_group("heisenberg", 13),
+    lambda: c.direct_product(c.builtin_group("cyclic", 40), c.builtin_group("cyclic", 50)),
+], ids=["C2000", "D2000", "H13", "C40xC50"])
+def test_construction_peaks_at_the_table_plus_blocks(build):
+    # An n x n temporary beside the table (8 MB at order 2000) breaks the bound.
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        G = build()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= G.table.nbytes + (2 << 20), (peak, G.table.nbytes)
 
 
 def test_product_outside_the_elements_raises():
