@@ -35,7 +35,7 @@ from .graphs import (
     quotient_consistency,
     transversal_graph,
 )
-from .groups import Group, _bool_row_mask, _row_blocks, is_subgroup, subgroup_generated_by
+from .groups import Group, _bool_row_mask, _tiles, is_subgroup, subgroup_generated_by
 from .lattice import build_lattice, center_poset, is_f_group
 from .moebius import (
     check_class_size_congruence,
@@ -489,17 +489,24 @@ def moebius_suite(G: Group, rng: random.Random, samples: int) -> list[PropertyRe
     return s.results
 
 
+def _centralizer_sizes(G: Group) -> list[int]:
+    """|C(g)| for every element g, the graphs suite's degree oracle.  It counts
+    commuting partners from the table itself, never from the centralizer
+    masks or the graphs under test: ``table == table.T`` summed over square
+    tiles (``_tiles``), each tile t[R, C] against the transposed t[C, R].T."""
+    t = G.table
+    sizes = np.zeros(G.order, dtype=np.intp)
+    for rows, cols in _tiles(G.order):
+        sizes[rows] += (t[rows, cols] == t[cols, rows].T).sum(axis=1)
+    return sizes.tolist()
+
+
 def graphs_suite(G: Group, rng: random.Random, samples: int) -> list[PropertyResult]:
     s = _Suite("graphs")
     if G.is_abelian:
         s.skip("all", "abelian group: graphs have empty vertex sets")
         return s.results
-    # The degree oracles count commuting partners from the table itself, never
-    # from the centralizer masks or the graphs under test: |C(v)| per element,
-    # from ``table == table.T`` in blocks of rows.
-    cent_sizes: list[int] = []
-    for rows in _row_blocks(G.order):
-        cent_sizes += (G.table[rows] == G.table[:, rows].T).sum(axis=1).tolist()
+    cent_sizes = _centralizer_sizes(G)
     zsize = cent_sizes.count(G.order)
     com = commuting_graph(G)
     s.check("commuting_degree_formula",

@@ -12,9 +12,12 @@ checking its range in the table's own dtype.  Each constructor checks that
 its table fits in the byte budget ``CENTRA_TABLE_BYTES`` (``_order_limit``)
 before it allocates the table or does work that grows with its parameter.
 
-No stage makes an n x n temporary.  Validation, ``Group.cent_masks`` and the
-cyclic, dihedral, Heisenberg and permutation-group constructors read or fill
-a table in row blocks of at most ``BLOCK_ENTRIES`` entries (``_row_blocks``).
+No stage makes an n x n temporary.  Validation and the cyclic, dihedral,
+Heisenberg and permutation-group constructors read or fill a table in row
+blocks of at most ``BLOCK_ENTRIES`` entries (``_row_blocks``).  The two
+whole-table commute scans, ``Group.cent_masks`` and the graphs suite's degree
+oracle, compare square tiles of as many entries with their transposes
+(``_tiles``), so both read the table a cache-sized tile at a time.
 The formula families evaluate their formulas with numpy, block by block, into
 a table of ``_table_dtype`` (``_new_table``); permutation groups
 (``symmetric``, ``group_from_generators``) rank each product by its images
@@ -38,7 +41,9 @@ from .sets import ElemSet, Subgroup
 
 TABLE_BYTES_ENV = "CENTRA_TABLE_BYTES"
 DEFAULT_TABLE_BYTES = 1 << 30
-BLOCK_ENTRIES = 1 << 16  # table entries per block in construction, validation, cent_masks and closure
+# table entries per row block (construction, validation, closure) and per
+# square tile (the commute scans); read at call time, so tests can shrink it
+BLOCK_ENTRIES = 1 << 16
 
 BUILTIN_FAMILIES = ("cyclic", "dihedral", "quaternion8", "symmetric", "heisenberg")
 
@@ -92,6 +97,25 @@ def _row_blocks(n: int) -> Iterator[slice]:
     """Row slices of an n-column table, each of at most ``BLOCK_ENTRIES`` entries or one row."""
     step = max(1, BLOCK_ENTRIES // n)
     return (slice(lo, min(lo + step, n)) for lo in range(0, n, step))
+
+
+def _tiles(n: int) -> Iterator[tuple[slice, slice]]:
+    """(rows, cols) slices of the square tiles of an n x n table, each of at
+    most ``BLOCK_ENTRIES`` entries or one entry, row band by row band and
+    left to right within a band; the last band and column are ragged."""
+    step = max(1, math.isqrt(BLOCK_ENTRIES))
+    spans = [slice(lo, min(lo + step, n)) for lo in range(0, n, step)]
+    return ((rows, cols) for rows in spans for cols in spans)
+
+
+def _least_prime(n: int) -> int:
+    """The least prime dividing n, by trial division; n itself if n is 1 or prime."""
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            return p
+        p += 1
+    return n
 
 
 def _new_table(name: str, n: int) -> np.ndarray:
@@ -238,11 +262,18 @@ class Group:
     @cached_property
     def cent_masks(self) -> tuple[int, ...]:
         """Per-element centralizer bitmasks, computed once per group from
-        ``table == table.T`` in blocks of rows."""
+        ``table == table.T`` in square tiles (``_tiles``): each tile t[R, C]
+        is compared with the transposed tile t[C, R].T into one band of rows,
+        which is packed into masks, and freed, once its last tile is in."""
+        t, n = self.table, self.order
         masks: list[int] = []
-        for rows in _row_blocks(self.order):
-            comm = np.packbits(self.table[rows] == self.table[:, rows].T, axis=1, bitorder="little")
-            masks.extend(int.from_bytes(row, "little") for row in comm)
+        for rows, cols in _tiles(n):
+            if cols.start == 0:
+                band = np.empty((rows.stop - rows.start, n), dtype=bool)
+            np.equal(t[rows, cols], t[cols, rows].T, out=band[:, cols])
+            if cols.stop == n:
+                masks.extend(int.from_bytes(row, "little") for row in np.packbits(band, axis=1, bitorder="little"))
+                del band
         return tuple(masks)
 
     @cached_property
@@ -311,7 +342,14 @@ def element_orders(G: Group) -> tuple[int, ...]:
 # -- subgroup machinery ----------------------------------------------------
 
 
-def _adjoin(item: Callable[[int, int], int], elements: list[int], reached: bytearray, gens: list[int], g: int) -> None:
+def _adjoin(
+    item: Callable[[int, int], int],
+    elements: list[int],
+    reached: bytearray,
+    gens: list[int],
+    g: int,
+    limit: float = math.inf,
+) -> None:
     """One step of Dimino's coset enumeration: grow the subgroup H listed in
     ``elements`` and marked in ``reached``, generated by ``gens``, to <H, g>
     for an element ``g`` not yet reached.
@@ -321,7 +359,8 @@ def _adjoin(item: Callable[[int, int], int], elements: list[int], reached: bytea
     is listed as soon as its representative is found, so every element
     outside the listed cosets starts a new, disjoint one: each new element
     costs one product, and only the products r*s of representatives are
-    tested for membership.
+    tested for membership.  The enumeration stops part way as soon as more
+    than ``limit`` elements are listed.
     """
     H = elements[:]
     gens.append(g)
@@ -335,6 +374,8 @@ def _adjoin(item: Callable[[int, int], int], elements: list[int], reached: bytea
                     reached[x] = 1
                     elements.append(x)
                 reps.append(y)
+                if len(elements) > limit:
+                    return
 
 
 def subgroup_generated_by(G: Group, S: SetLike) -> Subgroup:
@@ -344,13 +385,20 @@ def subgroup_generated_by(G: Group, S: SetLike) -> Subgroup:
     Groups*, 1991, ch. 6): the members of ``S`` are adjoined one at a time
     by ``_adjoin``, skipping those already reached, and the bitmask is built
     once from the membership array at the end.
+
+    By Lagrange's theorem a proper subgroup has at most n/q elements, q the
+    least prime dividing the order n, so the enumeration returns G as soon
+    as it has listed more.
     """
     item = G.table.item
+    limit = G.order // _least_prime(G.order)
     elements, reached, gens = [0], bytearray(G.order), []
     reached[0] = 1
     for s in G.set_ids(S):
         if not reached[s]:
-            _adjoin(item, elements, reached, gens, s)
+            _adjoin(item, elements, reached, gens, s, limit)
+            if len(elements) > limit:
+                return Subgroup(G.order, G.full_mask)
     digits = reached[::-1].translate(bytes.maketrans(b"\0\1", b"01"))  # highest id first
     return Subgroup(G.order, int(digits, 2))
 

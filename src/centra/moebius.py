@@ -8,7 +8,7 @@ from functools import wraps
 from typing import Callable, Optional
 
 from .centralizers import z_star_partition
-from .groups import Group, InvariantViolation, per_group
+from .groups import Group, InvariantViolation, _least_prime, per_group
 from .lattice import CenterPoset, build_lattice, center_poset, is_f_group
 from .sets import ids_from_mask
 
@@ -92,13 +92,7 @@ def p_group_prime(order: int) -> Optional[int]:
     """The prime p with order = p^k (k >= 1), or None."""
     if order < 2:
         return None
-    p = 2
-    while p * p <= order:
-        if order % p == 0:
-            break
-        p += 1
-    else:
-        p = order
+    p = _least_prime(order)
     while order % p == 0:
         order //= p
     return p if order == 1 else None

@@ -12,8 +12,15 @@ from typing import Iterable, Iterator
 import numpy as np
 
 
+_LOOP_BITS = 32  # above this many set bits, numpy unpacks a mask faster than the bit loop
+
+
 def ids_from_mask(mask: int) -> tuple[int, ...]:
-    """Set bits of ``mask`` as ascending indices."""
+    """Set bits of ``mask`` as ascending indices: one bit at a time for up to
+    ``_LOOP_BITS`` of them, else by unpacking the mask's bytes with numpy."""
+    if mask.bit_count() > _LOOP_BITS:
+        raw = np.frombuffer(mask.to_bytes((mask.bit_length() + 7) // 8, "little"), dtype=np.uint8)
+        return tuple(np.flatnonzero(np.unpackbits(raw, bitorder="little")).tolist())
     out = []
     while mask:
         low = mask & -mask

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import centra as c
-from centra import checks
+from centra import checks, groups
 from centra.checks import _sampled_pairs, _subset_masks, _subset_matrix, run_suite
 from centra.cli import build_report
 from conftest import FlippedCentMasks, former_algebra_suite, former_duality_witness
@@ -292,17 +292,32 @@ FLIP_SWEEPS = [
 ]
 
 
-@pytest.mark.parametrize("key,algebra_masks,seed,digest,failed", FLIP_SWEEPS)
-def test_flipped_mask_witnesses_pinned(fleet, key, algebra_masks, seed, digest, failed):
-    G = fleet[key]
+def flip_sweep(G, algebra_masks, seed, suites=("lattice", "partition", "moebius")):
+    """``suite_outcomes`` of every one-bit flip of G's masks; the algebra suite
+    runs on the flips in ``algebra_masks`` only (all of them for None)."""
     rows = G.elements() if algebra_masks is None else [G.labels.index(g) for g in algebra_masks]
-    suites = ("lattice", "partition", "moebius")
-    outcomes = [
+    return [
         suite_outcomes(FlippedCentMasks(G, g, h), ("algebra",) * (g in rows) + suites, seed)
         for g in G.elements()
         for h in G.elements()
     ]
-    assert digest_and_failures(outcomes) == (digest, failed)
+
+
+@pytest.mark.parametrize("key,algebra_masks,seed,digest,failed", FLIP_SWEEPS)
+def test_flipped_mask_witnesses_pinned(fleet, key, algebra_masks, seed, digest, failed):
+    assert digest_and_failures(flip_sweep(fleet[key], algebra_masks, seed)) == (digest, failed)
+
+
+def test_flipped_mask_witnesses_in_small_tiles(fleet, monkeypatch):
+    """D8's sweep with ``cent_masks`` and the degree oracle in 4 x 4 tiles,
+    4 of them a table: the pinned witnesses, and every flip's graphs suite
+    outcomes as in one tile."""
+    key, algebra_masks, seed, digest, failed = FLIP_SWEEPS[0].values
+    G = fleet[key]
+    graphs = flip_sweep(G, (), seed, ("graphs",))
+    monkeypatch.setattr(groups, "BLOCK_ENTRIES", 16)
+    assert digest_and_failures(flip_sweep(G, algebra_masks, seed)) == (digest, failed)
+    assert flip_sweep(G, (), seed, ("graphs",)) == graphs
 
 
 @pytest.mark.parametrize("key,reached", [("D8", 24), ("D16", 144), ("H3", 432)])

@@ -1,14 +1,20 @@
+import math
+import random
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
 import centra as c
-from centra.checks import run_suite
+from centra import groups
+from centra.checks import _centralizer_sizes, run_suite
 from centra.groups import _table_dtype, element_orders
+from centra.sets import ids_from_mask
 from conftest import (
     by_label,
     c1024_intercalate_table,
+    former_generated_mask,
     former_subgroup_label,
     intercalates,
     label_set,
@@ -351,10 +357,11 @@ class TestTableDtype:
 
     def test_no_n_squared_temporaries(self):
         """At order 3^7 one n x n bool array is 4.8 MB.  Construction (with
-        validation's ``table == 0``), ``cent_masks`` and the graphs suite's
-        degree oracle (each ``table == table.T``) read the table in row
-        blocks, so the traced peak of all three stays within 1 MB of what
-        they keep: the 9.6 MB uint16 table, the masks, graphs and results."""
+        validation's ``table == 0``) reads the table in row blocks, and
+        ``cent_masks`` and the graphs suite's degree oracle (each
+        ``table == table.T``) in square tiles, so the traced peak of all
+        three stays within 1 MB of what they keep: the 9.6 MB uint16 table,
+        the masks, graphs and results."""
         UT, C3 = unitriangular(4, 3), c.builtin_group("cyclic", 3)
         tracemalloc.start()
         try:
@@ -500,6 +507,95 @@ class TestSubgroups:
 
     def test_is_subgroup_rejects_missing_product_or_inverse(self, h3):
         assert_rejects_missing_product_or_inverse(h3)
+
+
+class TestLagrangeExit:
+    """``subgroup_generated_by`` returns G once it lists more than n/q elements,
+    q the least prime dividing n; checked against the breadth-first closure."""
+
+    @pytest.mark.parametrize("key", ["S6", "UT4_3xC3"])
+    def test_random_sets_match_breadth_first_closure(self, key, order_fleet, ut43xc3):
+        G = ut43xc3 if key == "UT4_3xC3" else order_fleet[key]
+        rng = random.Random(18)
+        for _ in range(40):
+            ids = rng.sample(range(G.order), rng.randint(1, 4))
+            assert c.subgroup_generated_by(G, ids).mask == former_generated_mask(G, ids), ids
+
+    def test_index_two_subgroup_does_not_exit(self, order_fleet):
+        # A6 = <(1,2,3), (2,3,4,5,6)> has exactly 720/2 elements, the limit itself.
+        G = order_fleet["S6"]
+        ids = by_label(G, "(1,2,3)", "(2,3,4,5,6)")
+        H = c.subgroup_generated_by(G, ids)
+        assert len(H) == G.order // 2
+        assert H.mask == former_generated_mask(G, ids)
+
+    def test_index_three_subgroup_does_not_exit(self, ut43xc3):
+        # An element centralizer of index 3, generated from all its members.
+        G = ut43xc3
+        mask = next(m for m in G.cent_masks if m.bit_count() == G.order // 3)
+        assert c.subgroup_generated_by(G, ids_from_mask(mask)).mask == mask
+
+    def test_whole_group_exits_early(self, order_fleet, monkeypatch):
+        G = order_fleet["S6"]
+        listed = []
+        adjoin = groups._adjoin
+
+        def counting(item, elements, *args):
+            adjoin(item, elements, *args)
+            listed.append(len(elements))
+
+        monkeypatch.setattr(groups, "_adjoin", counting)
+        ids = by_label(G, "(1,2)", "(1,2,3,4,5,6)")
+        assert c.subgroup_generated_by(G, ids).mask == G.full_mask == former_generated_mask(G, ids)
+        assert G.order // 2 < listed[-1] < G.order
+
+    @pytest.mark.parametrize("n", [1, 7])
+    def test_trivial_and_prime_orders(self, n):
+        G = c.builtin_group("cyclic", n)
+        for ids in ([], [0], *([g] for g in range(1, n))):
+            assert c.subgroup_generated_by(G, ids).mask == former_generated_mask(G, ids), ids
+
+
+class TestTiles:
+    """``cent_masks`` and the graphs suite's degree oracle in small square
+    tiles (sides 4 and 8), so that orders 7, 9, 6, 24 and 2187 end in a
+    ragged band and column, against ``table == table.T`` in one piece."""
+
+    @pytest.mark.parametrize("block", [16, 64])
+    @pytest.mark.parametrize("spec", ["C1", "C7", "D8", "C9", "D6", "S4", "UT4_3xC3"])
+    def test_scans_match_whole_table(self, spec, block, ut43xc3, monkeypatch):
+        monkeypatch.setattr(groups, "BLOCK_ENTRIES", block)
+        if spec == "UT4_3xC3":
+            G = ut43xc3
+        else:
+            family = {"C": "cyclic", "D": "dihedral", "S": "symmetric"}[spec[0]]
+            G = c.builtin_group(family, int(spec[1:]))
+        commuting = G.table == G.table.T
+        packed = np.packbits(commuting, axis=1, bitorder="little")
+        assert c.Group.cent_masks.func(G) == tuple(int.from_bytes(row, "little") for row in packed)
+        assert _centralizer_sizes(G) == commuting.sum(axis=1).tolist()
+
+    def test_tiles_cover_the_table_once(self, monkeypatch):
+        monkeypatch.setattr(groups, "BLOCK_ENTRIES", 16)
+        seen = np.zeros((9, 9), dtype=int)
+        for rows, cols in groups._tiles(9):
+            assert (rows.stop - rows.start) * (cols.stop - cols.start) <= 16
+            seen[rows, cols] += 1
+        assert (seen == 1).all()
+
+    def test_cent_masks_peak_is_the_masks_plus_one_band(self, ut43xc3):
+        # One n x n bool array is 4.8 MB at order 3^7; one band of tile rows
+        # is isqrt(BLOCK_ENTRIES) * n bools, 0.56 MB.
+        G = ut43xc3
+        band = math.isqrt(groups.BLOCK_ENTRIES) * G.order
+        tracemalloc.start()
+        try:
+            masks = c.Group.cent_masks.func(G)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert kept >= sum(map(sys.getsizeof, masks)) >= G.order * (G.order // 8)
+        assert peak <= kept + band + (64 << 10), (peak, kept, band)
 
 
 class TestCenter:

@@ -1,3 +1,5 @@
+import random
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,18 @@ def test_mask_roundtrip():
     assert s.mask == 0b100000101001
     assert ids_from_mask(s.mask) == ids
     assert ElemSet.from_ids(12, ids_from_mask(s.mask)) == s
+
+
+@pytest.mark.parametrize("size", [0, 1, 31, 32, 33, 64, 200])
+@pytest.mark.parametrize("universe", [40, 64, 65, 2187])
+def test_ids_from_mask_either_side_of_the_loop_bound(size, universe):
+    # Up to 32 set bits the bit loop lists them, above it numpy; both must
+    # give every id once, ascending, as Python ints, ending at any bit.
+    k = min(size, universe)
+    rng = random.Random(size * universe)
+    for ids in (sorted(rng.sample(range(universe), k)), list(range(universe - k, universe))):
+        got = ids_from_mask(mask_from_ids(ids))
+        assert got == tuple(ids) and all(type(i) is int for i in got)
 
 
 def test_members_ascending():
