@@ -13,7 +13,7 @@ from collections import Counter
 from pathlib import Path
 from typing import Optional
 
-from .centralizers import z_star_partition
+from .centralizers import closure, z_star_partition
 from .checks import SUITES, run_suite
 from .graphs import (
     _hasse_dot,
@@ -34,7 +34,8 @@ from .groups import (
     group_from_generator_file,
     subgroup_label,
 )
-from .lattice import all_subgroups, build_lattice, center_poset, f_group_chain_witness, hasse_edges, is_f_group
+from .lattice import (SUBGROUP_ENUMERATION_LIMIT, all_subgroups, build_lattice, center_poset,
+                      f_group_chain_witness, hasse_edges, is_f_group)
 from .moebius import (
     check_class_size_congruence,
     check_f_group_counts,
@@ -42,7 +43,6 @@ from .moebius import (
     moebius,
     p_group_prime,
 )
-from .centralizers import closure
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -86,7 +86,6 @@ def load_group(args: argparse.Namespace) -> tuple[Group, str]:
             raise ValueError("--product expects exactly two comma-separated specs")
         G = direct_product(_group_from_atom(parts[0]), _group_from_atom(parts[1]))
         return G, f"product:{args.product}"
-    raise ValueError("one of --builtin/--table/--gens/--product is required")
 
 
 def _graph_summary(graph) -> dict:
@@ -173,9 +172,7 @@ def build_report(G: Group, source: str, *, samples: int = 120, seed: int = 0) ->
 
     results = run_suite(G, "all", seed=seed, samples=samples)
     report["checks"] = [r.as_dict() for r in results]
-    report["ok"] = not any(r.failed for r in results) and all(
-        rep.get("ok", True) for rep in (report["congruences"] or {}).values()
-    )
+    report["ok"] = not any(r.failed for r in results)
     return report
 
 
@@ -290,7 +287,7 @@ def cmd_emit(args: argparse.Namespace) -> int:
 
 
 def _add_group_args(parser: argparse.ArgumentParser) -> None:
-    spec = parser.add_argument_group("group spec (choose one)")
+    spec = parser.add_argument_group("group spec (choose one)").add_mutually_exclusive_group(required=True)
     spec.add_argument("--builtin", metavar="FAMILY:PARAM",
                       help=f"builtin group, families: {', '.join(BUILTIN_FAMILIES)}")
     spec.add_argument("--table", metavar="FILE", help="Cayley-table file")
@@ -324,7 +321,8 @@ def make_parser() -> argparse.ArgumentParser:
     p_em.add_argument("artifact", choices=ARTIFACTS)
     p_em.add_argument("path", help="output file")
     p_em.add_argument("--closure-arrows", action="store_true",
-                      help="lattice-dot only: include every subgroup with its closure arrow (order <= 64)")
+                      help="lattice-dot only: include every subgroup with its closure arrow "
+                      f"(order <= {SUBGROUP_ENUMERATION_LIMIT})")
     p_em.set_defaults(func=cmd_emit)
     return parser
 

@@ -252,9 +252,6 @@ class Group:
             return ids
         return ElemSet.from_ids(self.order, ids)
 
-    def set_ids(self, ids: SetLike) -> tuple[int, ...]:
-        return self.elem_set(ids).members
-
     @cached_property
     def full_mask(self) -> int:
         return (1 << self.order) - 1
@@ -394,7 +391,7 @@ def subgroup_generated_by(G: Group, S: SetLike) -> Subgroup:
     limit = G.order // _least_prime(G.order)
     elements, reached, gens = [0], bytearray(G.order), []
     reached[0] = 1
-    for s in G.set_ids(S):
+    for s in G.elem_set(S).members:
         if not reached[s]:
             _adjoin(item, elements, reached, gens, s, limit)
             if len(elements) > limit:
@@ -405,7 +402,7 @@ def subgroup_generated_by(G: Group, S: SetLike) -> Subgroup:
 
 def is_subgroup(G: Group, S: SetLike) -> bool:
     """Independent check of the subgroup invariant (identity, closure, inverses)."""
-    ids = np.array(G.set_ids(S), dtype=np.intp)
+    ids = np.array(G.elem_set(S).members, dtype=np.intp)
     member = np.zeros(G.order, dtype=bool)
     member[ids] = True
     if not member[0] or not member[G.inv_table[ids]].all():

@@ -65,9 +65,6 @@ class _NodeOrder:
             raise ValueError(f"{node!r} is not a {self._kind} node")
         return idx
 
-    def leq(self, i: int, j: int) -> bool:
-        return self.nodes[i].mask & ~self.nodes[j].mask == 0
-
     @property
     @per_group
     def labels(self) -> tuple[str, ...]:
@@ -98,18 +95,6 @@ class _NodeOrder:
                 up &= holders[r]
             above.append(up ^ (1 << i))
         return tuple(above)
-
-    @property
-    @per_group
-    def below(self) -> tuple[int, ...]:
-        """Strict down-sets: bit j of ``below[i]`` is set iff node j lies
-        properly inside node i."""
-        return _transpose(self.above)
-
-    @property
-    @per_group
-    def covers(self) -> tuple[tuple[int, int], ...]:
-        return _hasse_covers(self)
 
     def __repr__(self) -> str:
         return f"<{type(self).__name__} of {self._group_name}: {len(self.nodes)} nodes>"
@@ -234,19 +219,12 @@ def f_group_chain_witness(G: Group) -> Optional[tuple[int, int]]:
     return None
 
 
-def _transpose(sets: tuple[int, ...]) -> tuple[int, ...]:
-    """The converse relation: bit i of ``out[j]`` iff bit j of ``sets[i]``."""
-    out = [0] * len(sets)
-    for i, m in enumerate(sets):
-        bit = 1 << i
-        for j in ids_from_mask(m):
-            out[j] |= bit
-    return tuple(out)
-
-
-def _hasse_covers(poset: _NodeOrder) -> tuple[tuple[int, int], ...]:
-    """Covering pairs from the strict up-sets ``above``: j covers i iff j is
-    above i and above no node that is itself above i."""
+@per_group
+def hasse_edges(poset: _NodeOrder) -> tuple[tuple[int, int], ...]:
+    """Covering pairs (i, j) of a CentLattice or CenterPoset: node i is covered
+    by node j.  Ordered by (i, j) under the object's node ordering; computed
+    once per lattice or poset from the strict up-sets ``above``: j covers i iff
+    j is above i and above no node that is itself above i."""
     above = poset.above
     edges = []
     for i, up in enumerate(above):
@@ -258,21 +236,17 @@ def _hasse_covers(poset: _NodeOrder) -> tuple[tuple[int, int], ...]:
     return tuple(edges)
 
 
-def hasse_edges(poset: _NodeOrder) -> tuple[tuple[int, int], ...]:
-    """Covering pairs (i, j) of a CentLattice or CenterPoset: node i is covered
-    by node j.  Ordered by (i, j) under the object's node ordering; computed
-    once per lattice or poset."""
-    return poset.covers
+SUBGROUP_ENUMERATION_LIMIT = 64
 
 
-def all_subgroups(G: Group, limit_order: int = 64) -> tuple[Subgroup, ...]:
+def all_subgroups(G: Group) -> tuple[Subgroup, ...]:
     """Every subgroup of a small group, by closing under one-element extensions.
 
     Used for diagram renderings and exhaustive oracles only; guarded by
-    ``limit_order`` because subgroup counts explode.
+    ``SUBGROUP_ENUMERATION_LIMIT`` because subgroup counts explode.
     """
-    if G.order > limit_order:
-        raise ValueError(f"subgroup enumeration is limited to order <= {limit_order}")
+    if G.order > SUBGROUP_ENUMERATION_LIMIT:
+        raise ValueError(f"subgroup enumeration is limited to order <= {SUBGROUP_ENUMERATION_LIMIT}")
     trivial = subgroup_generated_by(G, ())
     seen = {trivial.mask}
     worklist = [trivial]

@@ -36,18 +36,21 @@ class MoebiusTable:
 
 @per_group
 def moebius(P: CenterPoset) -> MoebiusTable:
-    """mu by one pass over nodes sorted by subgroup size; computed once per
-    CenterPoset."""
+    """mu by one pass over the nodes in their (size, lex) order, which is
+    topological for containment: each node's mu is final when it is reached,
+    and is then pushed into the sums of its strict up-set ``above``.
+    Computed once per CenterPoset."""
     n = len(P.nodes)
     mn = P.min_index
-    below = P.below
-    for j in range(n):
-        if j != mn and not (below[j] >> mn) & 1:
-            raise ValueError("poset has no unique minimal element")
-    # Node order is (size, lex), which is topological for containment.
+    above = P.above
+    if above[mn] != ((1 << n) - 1) ^ (1 << mn):
+        raise ValueError("poset has no unique minimal element")
+    below_sum = [0] * n  # sum of mu over the nodes strictly below, so far
     mu = [0] * n
     for i in range(n):
-        mu[i] = 1 if i == mn else -sum(mu[j] for j in ids_from_mask(below[i]))
+        mu[i] = 1 if i == mn else -below_sum[i]
+        for j in ids_from_mask(above[i]):
+            below_sum[j] += mu[i]
     return MoebiusTable(weakref.ref(P), tuple(mu))
 
 

@@ -193,16 +193,21 @@ def former_node_sort_key(mask):
     return (mask.bit_count(), ids_from_mask(mask))
 
 
+def node_leq(obj, i, j):
+    """Node i of a lattice or poset lies inside node j, read from their masks."""
+    return obj.nodes[i].mask & ~obj.nodes[j].mask == 0
+
+
 def leq_up_sets(obj):
-    """Strict up-set bitmasks of a ``nodes``/``leq`` object, one ``leq`` per pair."""
+    """Strict up-set bitmasks of a lattice or poset, one ``node_leq`` per pair."""
     n = len(obj.nodes)
-    return [sum(1 << j for j in range(n) if j != i and obj.leq(i, j)) for i in range(n)]
+    return [sum(1 << j for j in range(n) if j != i and node_leq(obj, i, j)) for i in range(n)]
 
 
 def leq_down_sets(obj):
-    """Strict down-set bitmasks of a ``nodes``/``leq`` object, one ``leq`` per pair."""
+    """Strict down-set bitmasks of a lattice or poset, one ``node_leq`` per pair."""
     n = len(obj.nodes)
-    return [sum(1 << j for j in range(n) if j != i and obj.leq(j, i)) for i in range(n)]
+    return [sum(1 << j for j in range(n) if j != i and node_leq(obj, j, i)) for i in range(n)]
 
 
 def leq_covers(obj):
@@ -217,12 +222,12 @@ def leq_covers(obj):
 
 
 def leq_moebius(obj):
-    """mu by the recursion over ``leq``: 1 at the minimum, else minus the sum
-    over every node strictly below (node order is topological)."""
+    """mu by the recursion over ``node_leq``: 1 at the minimum, else minus the
+    sum over every node strictly below (node order is topological)."""
     n = len(obj.nodes)
     mu = []
     for i in range(n):
-        below = sum(mu[j] for j in range(i) if obj.leq(j, i))
+        below = sum(mu[j] for j in range(i) if node_leq(obj, j, i))
         mu.append(1 if i == obj.min_index else -below)
     return mu
 

@@ -242,9 +242,21 @@ class TestExitCodes:
         assert res.returncode == 2
         assert "two" in res.stderr
 
-    def test_missing_group_spec(self):
-        res = run_cli("analyze")
+    def test_missing_group_spec(self, tmp_path):
+        for command in (["analyze"], ["verify"], ["emit", "poset-dot", str(tmp_path / "out.dot")]):
+            res = run_cli(*command)
+            assert res.returncode == 2
+            assert res.stdout == ""
+            assert "one of the arguments --builtin --table --gens --product is required" in res.stderr
+
+    @pytest.mark.parametrize("second", [["--table", "/nonexistent"], ["--gens", "/nonexistent"],
+                                        ["--product", "cyclic:2,cyclic:2"]])
+    @pytest.mark.parametrize("command", ["analyze", "verify"])
+    def test_two_group_specs_are_usage_error(self, command, second):
+        res = run_cli(command, "--builtin", "dihedral:8", *second)
         assert res.returncode == 2
+        assert res.stdout == ""
+        assert "not allowed with argument" in res.stderr
 
     def test_unreadable_table_is_io_error(self):
         res = run_cli("analyze", "--table", "/nonexistent/nowhere.tbl")
@@ -375,6 +387,27 @@ class TestCheckFailureExit:
         code = cli.main(["analyze", "--builtin", "quaternion8", "--format", "json"])
         report = json.loads(capsys.readouterr().out)
         assert code == 1
+        assert report["ok"] is False
+
+    @pytest.mark.parametrize("key,check,name", [
+        ("class_size", c.check_class_size_congruence, "class_size_congruence"),
+        ("mob_sums", c.check_mob_sums, "mob_sums"),
+        ("f_group_counts", c.check_f_group_counts, "f_group_counts"),
+    ])
+    def test_failing_congruence_line_fails_report_and_its_check(self, key, check, name):
+        """A congruence report's ``ok`` reaches the report's ``ok`` through the
+        moebius suite's check of the same name, with the line as witness."""
+        from centra.cli import build_report
+
+        G = c.builtin_group("dihedral", 8)
+        line = check(G).lines[-1]  # the memoised report, which build_report reads
+        line.passed = False
+        report = build_report(G, G.name)
+        assert report["congruences"][key]["ok"] is False
+        results = {r["name"]: r for r in report["checks"]}
+        assert results[f"moebius/{name}"]["status"] == "fail"
+        assert results[f"moebius/{name}"]["witness"] == line.label
+        assert [r for r in results.values() if r["status"] == "fail"] == [results[f"moebius/{name}"]]
         assert report["ok"] is False
 
 

@@ -27,8 +27,7 @@ def emit_artifacts(G):
 
 @pytest.fixture
 def built(monkeypatch):
-    """Counts constructions: one key per class, graphs keyed by kind, and
-    Hasse covers keyed by the class they were computed for."""
+    """Counts constructions: one key per class, graphs keyed by kind."""
     counts = Counter()
 
     def count_inits(cls, by_kind=False):
@@ -43,14 +42,6 @@ def built(monkeypatch):
     for cls in (c.CentClass, c.CentLattice, c.CenterPoset, c.MoebiusTable):
         count_inits(cls)
     count_inits(c.GroupGraph, by_kind=True)
-
-    covers = lattice._hasse_covers
-
-    def counted_covers(poset):
-        counts[f"covers of {type(poset).__name__}"] += 1
-        return covers(poset)
-
-    monkeypatch.setattr(lattice, "_hasse_covers", counted_covers)
     return counts
 
 
@@ -61,8 +52,9 @@ def built(monkeypatch):
 ])
 def test_report_and_emits_build_each_structure_once(built, make):
     G = make()
-    build_report(G, G.name)
+    covers = evaluations(lattice.hasse_edges, lambda: build_report(G, G.name))
     first = emit_artifacts(G)
+    assert evaluations(lattice.hasse_edges, lambda: emit_artifacts(G)) == 0
     assert emit_artifacts(G) == first
     assert built["CentClass"] == len(c.z_star_partition(G))
     assert built["CentLattice"] == 1
@@ -70,8 +62,10 @@ def test_report_and_emits_build_each_structure_once(built, make):
     assert built["MoebiusTable"] == 1
     assert built["commuting"] == 1
     assert built["centralizer"] == 1
-    assert built["covers of CentLattice"] == 1
-    assert built["covers of CenterPoset"] == 1
+    # Hasse covers: evaluated twice, and memoised on each order, so once per order.
+    assert covers == 2
+    for order in (c.build_lattice(G), c.center_poset(G)):
+        assert lattice.hasse_edges.__wrapped__ in order._derived
 
 
 def test_repeated_calls_return_the_same_object(d8):
@@ -148,7 +142,7 @@ def test_concurrent_first_calls_get_one_object(d8):
     def work(_):
         lat, poset = c.build_lattice(G), c.center_poset(G)
         return (lat, poset, c.commuting_graph(G), c.hasse_edges(lat), c.moebius(poset),
-                lat.above, poset.below, lat.ustar)
+                lat.above, poset.above, lat.ustar)
 
     with ThreadPoolExecutor(max_workers=8) as pool:
         results = list(pool.map(work, range(16)))
@@ -207,5 +201,5 @@ def test_report_labels_each_node_once_and_leaves_emits_only_rendering(make):
     labelled = evaluations(groups._label_subgroup, lambda: build_report(G, G.name))
     nodes = c.build_lattice(G).nodes + c.center_poset(G).nodes
     assert labelled == len({node.mask for node in nodes})
-    for fn in (groups._label_subgroup, lattice._hasse_covers):
+    for fn in (groups._label_subgroup, lattice.hasse_edges):
         assert evaluations(fn, lambda: emit_artifacts(G)) == 0
