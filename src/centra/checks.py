@@ -347,7 +347,7 @@ def partition_suite(G: Group, rng: random.Random, samples: int) -> list[Property
     s = _Suite("partition")
     classes = z_star_partition(G)
     n = G.order
-    name = lambda c: G.label(c.representative)
+    name = lambda c: G.labels[c.representative]
 
     def cover_failures():
         union = 0
@@ -392,9 +392,9 @@ def partition_suite(G: Group, rng: random.Random, samples: int) -> list[Property
                     continue
                 coset = 0
                 for zi in z:
-                    coset |= 1 << G.mul(m, zi)
+                    coset |= 1 << G.table.item(m, zi)
                 if coset & ~c.members.mask:
-                    yield f"coset of {G.label(m)} leaves its class"
+                    yield f"coset of {G.labels[m]} leaves its class"
                 covered |= coset
 
     s.check("coset_structure", coset_failures())
@@ -561,7 +561,7 @@ def graphs_suite(G: Group, rng: random.Random, samples: int) -> list[PropertyRes
     edge[pairs[:, 0], pairs[:, 1]] = True
     bad = np.argwhere(np.triu((edge != inside.T) | (inside != inside.T), 1))
     s.check("centralizer_graph_duality",
-            (f"pair {G.label(classes[i].representative)},{G.label(classes[j].representative)}"
+            (f"pair {G.labels[classes[i].representative]},{G.labels[classes[j].representative]}"
              for i, j in bad[:1].tolist()))
 
     p = p_group_prime(G.order)

@@ -122,7 +122,7 @@ def build_report(G: Group, source: str, *, samples: int = 120, seed: int = 0) ->
             "p_group": p is not None,
             "p": p,
             "f_group": is_f_group(G),
-            "f_chain_witness": None if witness is None else [G.label(witness[0]), G.label(witness[1])],
+            "f_chain_witness": None if witness is None else [G.labels[witness[0]], G.labels[witness[1]]],
         },
         "lattice": {
             "node_count": len(lat.nodes),
@@ -132,7 +132,7 @@ def build_report(G: Group, source: str, *, samples: int = 120, seed: int = 0) ->
         "partition": {
             "class_count": len(classes),
             "class_sizes": [len(c.members) for c in classes],
-            "representatives": [G.label(c.representative) for c in classes],
+            "representatives": [G.labels[c.representative] for c in classes],
         },
         "center_poset": {
             "node_count": len(poset.nodes),
@@ -286,13 +286,22 @@ def cmd_emit(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+class _StoreOnce(argparse.Action):
+    """Store a flag's value; giving the flag again, even with the same value, is a usage error."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        if getattr(namespace, self.dest) is not None:
+            parser.error(f"argument {option_string}: given more than once")
+        setattr(namespace, self.dest, values)
+
+
 def _add_group_args(parser: argparse.ArgumentParser) -> None:
     spec = parser.add_argument_group("group spec (choose one)").add_mutually_exclusive_group(required=True)
-    spec.add_argument("--builtin", metavar="FAMILY:PARAM",
+    spec.add_argument("--builtin", action=_StoreOnce, metavar="FAMILY:PARAM",
                       help=f"builtin group, families: {', '.join(BUILTIN_FAMILIES)}")
-    spec.add_argument("--table", metavar="FILE", help="Cayley-table file")
-    spec.add_argument("--gens", metavar="FILE", help="permutation generator file")
-    spec.add_argument("--product", metavar="A,B", help="direct product of two specs")
+    spec.add_argument("--table", action=_StoreOnce, metavar="FILE", help="Cayley-table file")
+    spec.add_argument("--gens", action=_StoreOnce, metavar="FILE", help="permutation generator file")
+    spec.add_argument("--product", action=_StoreOnce, metavar="A,B", help="direct product of two specs")
 
 
 def make_parser() -> argparse.ArgumentParser:

@@ -83,7 +83,7 @@ def _commuting_subgraph(G: Group, kind: str, vmask: int,
     return GroupGraph(
         kind=kind,
         vertex_ids=verts,
-        labels=tuple(map(label or G.label, verts)),
+        labels=tuple(map(label or G.labels.__getitem__, verts)),
         adjacency=tuple(G.cent_masks[g] & vmask & ~(1 << g) for g in verts),
     )
 

@@ -212,7 +212,6 @@ class Group:
         self.table.setflags(write=False)
         self.inv_table.setflags(write=False)
         self.order = int(self.table.shape[0])
-        self.identity = 0
         self.name = name
         if labels is None:
             labels = ["1"] + [f"g{i}" for i in range(1, self.order)]
@@ -223,27 +222,6 @@ class Group:
             raise ValueError("element labels are not unique")
         self.labels = tuple(labels)
         self._derived: dict = {}  # filled by per_group
-
-    # -- basic queries ----------------------------------------------------
-
-    def mul(self, a: int, b: int) -> int:
-        return int(self.table[a, b])
-
-    def inv(self, a: int) -> int:
-        return int(self.inv_table[a])
-
-    def label(self, g: int) -> str:
-        return self.labels[g]
-
-    def elements(self) -> range:
-        return range(self.order)
-
-    def element_order(self, g: int) -> int:
-        k, x = 1, g
-        while x != 0:
-            x = int(self.table[x, g])
-            k += 1
-        return k
 
     def elem_set(self, ids: SetLike) -> ElemSet:
         if isinstance(ids, ElemSet):
@@ -375,11 +353,13 @@ def _adjoin(
                     return
 
 
-def subgroup_generated_by(G: Group, S: SetLike) -> Subgroup:
-    """Smallest subgroup containing ``S``; the empty set generates {identity}.
+def _generate(G: Group, ids: Iterable[int]) -> tuple[int, list[int]]:
+    """The subgroup generated by the element ids ``ids``: (its bitmask, the
+    members of ``ids`` adjoined, in order).  ``subgroup_generated_by`` and
+    ``subgroup_label`` both enumerate subgroups through it.
 
     Dimino's algorithm (Butler, *Fundamental Algorithms for Permutation
-    Groups*, 1991, ch. 6): the members of ``S`` are adjoined one at a time
+    Groups*, 1991, ch. 6): the members of ``ids`` are adjoined one at a time
     by ``_adjoin``, skipping those already reached, and the bitmask is built
     once from the membership array at the end.
 
@@ -391,13 +371,19 @@ def subgroup_generated_by(G: Group, S: SetLike) -> Subgroup:
     limit = G.order // _least_prime(G.order)
     elements, reached, gens = [0], bytearray(G.order), []
     reached[0] = 1
-    for s in G.elem_set(S).members:
+    for s in ids:
         if not reached[s]:
             _adjoin(item, elements, reached, gens, s, limit)
             if len(elements) > limit:
-                return Subgroup(G.order, G.full_mask)
+                return G.full_mask, gens
     digits = reached[::-1].translate(bytes.maketrans(b"\0\1", b"01"))  # highest id first
-    return Subgroup(G.order, int(digits, 2))
+    return int(digits, 2), gens
+
+
+def subgroup_generated_by(G: Group, S: SetLike) -> Subgroup:
+    """Smallest subgroup containing ``S``, the mask of ``_generate`` on its
+    members; the empty set generates {identity}."""
+    return Subgroup(G.order, _generate(G, G.elem_set(S).members)[0])
 
 
 def is_subgroup(G: Group, S: SetLike) -> bool:
@@ -408,16 +394,6 @@ def is_subgroup(G: Group, S: SetLike) -> bool:
     if not member[0] or not member[G.inv_table[ids]].all():
         return False
     return all(member[G.table[ids[rows, None], ids]].all() for rows in _row_blocks(len(ids)))
-
-
-def _cyclic_mask(G: Group, g: int) -> int:
-    item = G.table.item
-    mask = 1
-    x = g
-    while x != 0:
-        mask |= 1 << x
-        x = item(x, g)
-    return mask
 
 
 @per_group
@@ -431,9 +407,9 @@ def subgroup_label(G: Group, H: SetLike) -> str:
     trivial subgroup, else ``<gens>`` from a deterministic generating set.
 
     A cyclic subgroup of order at most 729 is labelled by its least
-    generator.  Otherwise the generators are chosen greedily: each is the
-    least member of H not yet reached, adjoined to one growing closure
-    (``_adjoin``) until all of H is reached.
+    generator.  Otherwise the generators are those ``_generate`` adjoins
+    from H's members in ascending order: each is the least member of H not
+    yet reached.
 
     A label depends on H's mask only, so it is memoised per group by mask:
     a lattice, a poset and a graph labelling one subgroup work it out once.
@@ -453,28 +429,17 @@ def _label_subgroup(G: Group, H: ElemSet) -> str:
     members = H.members
     nontrivial = [m for m in members if m != 0]
     if not nontrivial:
-        return G.label(0)
+        return G.labels[0]
     size = len(members)
     if size <= 729:
         orders = element_orders(G)
         for m in nontrivial:
-            if orders[m] == size and _cyclic_mask(G, m) == H.mask:
-                return f"<{G.label(m)}>"
-    item = G.table.item
-    inside = bytearray(G.order)
-    for m in members:
-        inside[m] = 1
-    elements, reached, gens = [0], bytearray(G.order), []
-    reached[0] = 1
-    unreached = (m for m in members if not reached[m])
-    checked = 0  # elements[:checked] lie in H
-    while True:
-        if not all(map(inside.__getitem__, elements[checked:])):
-            raise InvariantViolation("generator fell outside the subgroup")
-        checked = len(elements)
-        if checked == size:
-            return "<" + ",".join(G.label(g) for g in gens) + ">"
-        _adjoin(item, elements, reached, gens, next(unreached))
+            if orders[m] == size and _generate(G, (m,))[0] == H.mask:
+                return f"<{G.labels[m]}>"
+    mask, gens = _generate(G, members)
+    if mask != H.mask:
+        raise InvariantViolation("generator fell outside the subgroup")
+    return "<" + ",".join(G.labels[g] for g in gens) + ">"
 
 
 # -- constructors ------------------------------------------------------------

@@ -253,7 +253,7 @@ def all_subgroups(G: Group) -> tuple[Subgroup, ...]:
     while worklist:
         H = worklist.pop()
         hm = H.mask
-        for g in G.elements():
+        for g in range(G.order):
             if (hm >> g) & 1:
                 continue
             ext = subgroup_generated_by(G, H.members + (g,))

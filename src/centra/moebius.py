@@ -144,10 +144,10 @@ def check_class_size_congruence(G: Group, p: int) -> CongruenceReport:
         size = len(c.members)
         if size % z_order:
             raise InvariantViolation(
-                f"|Z(G)|={z_order} does not divide |Z*({G.label(c.representative)})|={size}"
+                f"|Z(G)|={z_order} does not divide |Z*({G.labels[c.representative]})|={size}"
             )
         report.add(
-            f"class of {G.label(c.representative)}",
+            f"class of {G.labels[c.representative]}",
             size // z_order,
             table.value(c.ecenter),
         )
@@ -201,10 +201,10 @@ def check_f_group_counts(G: Group, p: int) -> CongruenceReport:
     report = CongruenceReport("f_group_counts", G.name, p)
     for c in classes:
         inside = sum(1 for d in classes if d.ecenter.mask & ~c.cent.mask == 0)
-        report.add(f"centers within C({G.label(c.representative)})", inside, 1)
+        report.add(f"centers within C({G.labels[c.representative]})", inside, 1)
     for c in classes:
         above = sum(1 for d in classes if c.ecenter.mask & ~d.cent.mask == 0)
-        report.add(f"centralizers above Z({G.label(c.representative)})", above, 1)
+        report.add(f"centralizers above Z({G.labels[c.representative]})", above, 1)
     report.add("number of non-central element centers", len(classes), 1)
     for i, m in enumerate(table.mu):
         if i != poset.min_index:

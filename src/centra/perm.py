@@ -48,27 +48,6 @@ class Permutation:
             inv[x] = i
         return Permutation(inv)
 
-    def is_identity(self) -> bool:
-        return all(i == x for i, x in enumerate(self.images))
-
-    def cycles(self) -> tuple[tuple[int, ...], ...]:
-        """Nontrivial cycles, 0-based, each starting at its least point."""
-        seen = [False] * self.degree
-        out = []
-        for start in range(self.degree):
-            if seen[start]:
-                continue
-            cyc = [start]
-            seen[start] = True
-            x = self.images[start]
-            while x != start:
-                cyc.append(x)
-                seen[x] = True
-                x = self.images[x]
-            if len(cyc) > 1:
-                out.append(tuple(cyc))
-        return tuple(out)
-
     def cycle_string(self) -> str:
         """Cycle notation over 1-based points; the identity is ``()``."""
         return cycle_strings([self.images], self.degree)[0]

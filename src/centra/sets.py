@@ -67,14 +67,6 @@ class ElemSet:
                 mask |= 1 << i
         return cls(universe_order, mask)
 
-    @classmethod
-    def empty(cls, universe_order: int) -> "ElemSet":
-        return cls(universe_order, 0)
-
-    @classmethod
-    def full(cls, universe_order: int) -> "ElemSet":
-        return cls(universe_order, (1 << universe_order) - 1)
-
     @property
     def members(self) -> tuple[int, ...]:
         return ids_from_mask(self.mask)

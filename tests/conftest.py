@@ -23,8 +23,8 @@ def naive_centralizer(G, ids):
     ids = list(ids)
     return {
         x
-        for x in G.elements()
-        if all(G.mul(x, s) == G.mul(s, x) for s in ids)
+        for x in range(G.order)
+        if all(G.table[x, s] == G.table[s, x] for s in ids)
     }
 
 
@@ -50,7 +50,7 @@ def former_z_star_partition(G):
     members, centralizer, element center) masks per class in representative
     order; element centers by ``former_centralizer_mask``."""
     buckets = {}
-    for g in G.elements():
+    for g in range(G.order):
         buckets[G.cent_masks[g]] = buckets.get(G.cent_masks[g], 0) | 1 << g
     classes = [
         ((mm & -mm).bit_length() - 1, mm, cm, former_centralizer_mask(G, cm))
@@ -75,8 +75,17 @@ class FlippedCentMasks(c.Group):
         return tuple(cms)
 
 
+def naive_element_order(G, g):
+    """Order of ``g``: the least k >= 1 with g^k the identity, one power at a time."""
+    k, x = 1, g
+    while x != 0:
+        x = G.table.item(x, g)
+        k += 1
+    return k
+
+
 def naive_center(G):
-    return naive_centralizer(G, G.elements())
+    return naive_centralizer(G, range(G.order))
 
 
 def naive_closure(G, ids):
@@ -106,7 +115,7 @@ def former_generated_mask(G, ids):
     gens = queue[1:]
     for x in queue:  # grows while it is walked
         for g in gens:
-            y = G.mul(x, g)
+            y = G.table.item(x, g)
             if not (mask >> y) & 1:
                 mask |= 1 << y
                 queue.append(y)
@@ -121,18 +130,18 @@ def former_subgroup_label(G, H):
         return G.name
     nontrivial = [m for m in H.members if m != 0]
     if not nontrivial:
-        return G.label(0)
+        return G.labels[0]
     if len(H) <= 729:
         for m in nontrivial:
             if former_generated_mask(G, [m]) == H.mask:
-                return f"<{G.label(m)}>"
+                return f"<{G.labels[m]}>"
     gens, cur = [], 1
     while cur != H.mask:
         gens.append(ids_from_mask(H.mask & ~cur)[0])
         cur = former_generated_mask(G, gens)
         if cur & ~H.mask:
             raise c.InvariantViolation("generator fell outside the subgroup")
-    return "<" + ",".join(G.label(g) for g in gens) + ">"
+    return "<" + ",".join(G.labels[g] for g in gens) + ">"
 
 
 def mask_from_ids(ids):
@@ -145,7 +154,7 @@ def mask_from_ids(ids):
 
 def naive_abelian_subset(G, ids):
     ids = list(ids)
-    return all(G.mul(a, b) == G.mul(b, a) for a in ids for b in ids)
+    return all(G.table[a, b] == G.table[b, a] for a in ids for b in ids)
 
 
 def pairwise_lattice_masks(G):
@@ -264,7 +273,7 @@ def former_transversal_error(G, X):
 
 
 def commutes(G, x, y):
-    return G.mul(x, y) == G.mul(y, x)
+    return G.table[x, y] == G.table[y, x]
 
 
 def naive_graph_edges(G, ids):
@@ -305,7 +314,7 @@ def former_duality_witness(G, classes, cg):
         for j in range(i + 1, len(classes)):
             b = classes[j]
             if not ((i, j) in cg_edges) == (b.ecenter.mask & ~a.cent.mask == 0) == (a.ecenter.mask & ~b.cent.mask == 0):
-                return f"pair {G.label(a.representative)},{G.label(b.representative)}"
+                return f"pair {G.labels[a.representative]},{G.labels[b.representative]}"
     return None
 
 
@@ -344,7 +353,7 @@ def former_quotient_consistency(G):
     """The former edge walk: map every commuting edge to its pair of classes,
     then compare with the centralizer graph's edges (class 0 is central)."""
     class_of = {m: i for i, cl in enumerate(c.z_star_partition(G)) for m in cl.members}
-    verts, edges = naive_graph_edges(G, G.elements())
+    verts, edges = naive_graph_edges(G, range(G.order))
     quotient = set()
     for i, j in edges:
         ci, cj = class_of[verts[i]], class_of[verts[j]]
@@ -420,11 +429,11 @@ def paired_inverse_table(rng, n):
 
 
 def label_set(G, S):
-    return {G.label(g) for g in S}
+    return {G.labels[g] for g in S}
 
 
 def by_label(G, *labels):
-    index = {G.labels[i]: i for i in G.elements()}
+    index = {G.labels[i]: i for i in range(G.order)}
     return [index[lab] for lab in labels]
 
 

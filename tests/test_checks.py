@@ -44,8 +44,8 @@ def test_algebra_output_pinned(key, request):
 
 
 def test_every_flipped_bit_fails_tabulated_branch(d8):
-    for g in d8.elements():
-        for h in d8.elements():
+    for g in range(d8.order):
+        for h in range(d8.order):
             failed = failures(FlippedCentMasks(d8, g, h))
             assert failed, (g, h)
             assert all(r.witness for r in failed), (g, h)
@@ -96,7 +96,7 @@ def test_identity_mask_flip_fails_empty_set_law(fleet, key):
     """C(empty) = C({1}) = G reads C(1): every flip in it fails that law itself,
     on the tabulated (D8) and the sampled (D16) branch."""
     G = fleet[key]
-    for h in G.elements():
+    for h in range(G.order):
         (law,) = [r for r in run_suite(FlippedCentMasks(G, 0, h), "algebra")
                   if r.name == "algebra/empty_set_centralizer"]
         assert law.failed and law.witness == "C({0}) != G", h
@@ -120,7 +120,7 @@ def test_array_laws_match_former_suite_tabulated(small_groups, key):
     """Every one-bit flip of the masks: the array laws over the tabulated power
     set give the former loops' results, witnesses included, byte for byte."""
     G = small_groups[key]
-    flips = [G] + [FlippedCentMasks(G, g, h) for g in G.elements() for h in G.elements()]
+    flips = [G] + [FlippedCentMasks(G, g, h) for g in range(G.order) for h in range(G.order)]
     for bad in flips:
         assert algebra_rows(checks.algebra_suite, bad, 0, 200) == algebra_rows(former_algebra_suite, bad, 0, 200)
 
@@ -132,7 +132,7 @@ def test_array_laws_match_former_suite_sampled(fleet, key, g_label, samples):
     object arrays give the former loops' results byte for byte."""
     G = fleet[key]
     g = G.labels.index(g_label)
-    for h in G.elements():
+    for h in range(G.order):
         bad = FlippedCentMasks(G, g, h)
         for seed in range(3):
             assert (algebra_rows(checks.algebra_suite, bad, seed, samples)
@@ -251,7 +251,7 @@ def test_commuting_degree_oracle_catches_each_toggled_pair(request, monkeypatch,
         monkeypatch.setattr(checks, "commuting_graph", lambda G, graph=corrupted: graph)
         results = {r.name: r for r in run_suite(G, "graphs")}
         law = results["graphs/commuting_degree_formula"]
-        assert law.failed and law.witness, (G.label(vids[i]), G.label(vids[j]))
+        assert law.failed and law.witness, (G.labels[vids[i]], G.labels[vids[j]])
     assert len(pairs) == {"D8": 15, "Q8": 15, "S4": 253}[key]
 
 
@@ -295,11 +295,11 @@ FLIP_SWEEPS = [
 def flip_sweep(G, algebra_masks, seed, suites=("lattice", "partition", "moebius")):
     """``suite_outcomes`` of every one-bit flip of G's masks; the algebra suite
     runs on the flips in ``algebra_masks`` only (all of them for None)."""
-    rows = G.elements() if algebra_masks is None else [G.labels.index(g) for g in algebra_masks]
+    rows = range(G.order) if algebra_masks is None else [G.labels.index(g) for g in algebra_masks]
     return [
         suite_outcomes(FlippedCentMasks(G, g, h), ("algebra",) * (g in rows) + suites, seed)
-        for g in G.elements()
-        for h in G.elements()
+        for g in range(G.order)
+        for h in range(G.order)
     ]
 
 
@@ -327,8 +327,8 @@ def test_flipped_masks_reach_the_graph_laws(fleet, key, reached):
     fail them with witnesses."""
     G = fleet[key]
     count = 0
-    for g in G.elements():
-        for h in G.elements():
+    for g in range(G.order):
+        for h in range(G.order):
             try:
                 results = run_suite(FlippedCentMasks(G, g, h), "graphs")
             except (c.InvariantViolation, ValueError):
@@ -472,7 +472,7 @@ def test_centralizer_graph_duality_reads_both_sides(s4, monkeypatch):
     bad = classes[:-1] + (dataclasses.replace(last, ecenter=last.cent),)
     monkeypatch.setattr(checks, "z_star_partition", lambda G: bad)
     law = {r.name: r for r in run_suite(s4, "graphs")}["graphs/centralizer_graph_duality"]
-    assert law.failed and law.witness.endswith(f",{s4.label(last.representative)}")
+    assert law.failed and law.witness.endswith(f",{s4.labels[last.representative]}")
 
 
 def test_centralizer_graph_duality_reads_the_transpose(s4, monkeypatch):
@@ -483,7 +483,7 @@ def test_centralizer_graph_duality_reads_the_transpose(s4, monkeypatch):
     bad = classes[:-1] + (dataclasses.replace(last, cent=last.ecenter),)
     monkeypatch.setattr(checks, "z_star_partition", lambda G: bad)
     law = {r.name: r for r in run_suite(s4, "graphs")}["graphs/centralizer_graph_duality"]
-    assert law.failed and law.witness.endswith(f",{s4.label(last.representative)}")
+    assert law.failed and law.witness.endswith(f",{s4.labels[last.representative]}")
 
 
 @pytest.mark.parametrize("key", ["d8", "q8", "h3", "s4"])

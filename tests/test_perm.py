@@ -55,8 +55,8 @@ def test_compose_applies_right_factor_first():
 
 def test_inverse_roundtrip():
     p = parse_cycle_notation("(1,4,2)(3,5)", 5)
-    assert (p * p.inverse()).is_identity()
-    assert (p.inverse() * p).is_identity()
+    assert p * p.inverse() == Permutation.identity(p.degree)
+    assert p.inverse() * p == Permutation.identity(p.degree)
 
 
 def test_cycle_string_roundtrip():

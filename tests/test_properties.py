@@ -115,7 +115,7 @@ class TestPartitionTheorem:
                 assert len(cl.members) % len(z) == 0
                 for m in cl.members:
                     for zi in z:
-                        assert G.mul(m, zi) in cl.members
+                        assert G.table.item(m, zi) in cl.members
 
 
 class TestStrictContainmentWitness:
