@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .groups import Group, SetLike, per_group, subgroup_generated_by
+from .groups import Group, SetLike, per_group
 from .sets import ElemSet, Subgroup
 
 
@@ -43,22 +43,10 @@ def closure(G: Group, S: SetLike) -> Subgroup:
     return Subgroup(G.order, centralizer_mask(G, centralizer_mask(G, G.elem_set(S).mask)))
 
 
-def element_center(G: Group, g: int) -> Subgroup:
-    """Z(g) = C_G(C_G(g)), the (always abelian) center of C_G(g)."""
-    return Subgroup(G.order, centralizer_mask(G, G.cent_masks[g]))
-
-
 def is_abelian_subset(G: Group, S: SetLike) -> bool:
     """True iff the members of S pairwise commute, that is, S <= C_G(S)."""
     mask = G.elem_set(S).mask
     return mask & ~centralizer_mask(G, mask) == 0
-
-
-def is_closed_abelian_iff(G: Group, S: SetLike) -> tuple[bool, bool]:
-    """(is <S> abelian, is C_G(C_G(S)) abelian); the two always agree."""
-    gen_ab = is_abelian_subset(G, subgroup_generated_by(G, S))
-    closed_ab = is_abelian_subset(G, closure(G, S))
-    return gen_ab, closed_ab
 
 
 @dataclass(frozen=True)

@@ -12,17 +12,17 @@ checking its range in the table's own dtype.  Each constructor checks that
 its table fits in the byte budget ``CENTRA_TABLE_BYTES`` (``_order_limit``)
 before it allocates the table or does work that grows with its parameter.
 
-No stage makes an n x n temporary.  Validation and the cyclic, dihedral,
-Heisenberg and permutation-group constructors read or fill a table in row
-blocks of at most ``BLOCK_ENTRIES`` entries (``_row_blocks``).  The two
-whole-table commute scans, ``Group.cent_masks`` and the graphs suite's degree
-oracle, compare square tiles of as many entries with their transposes
-(``_tiles``), so both read the table a cache-sized tile at a time.
-The formula families evaluate their formulas with numpy, block by block, into
-a table of ``_table_dtype`` (``_new_table``); permutation groups
-(``symmetric``, ``group_from_generators``) rank each product by its images
-on a few base points.  A direct product fills its table in one numpy pass,
-the Cayley parser row by row.  Construction peaks at 1.01-1.08x the table.
+No stage makes an n x n temporary.  The dihedral, quaternion, symmetric,
+Heisenberg and generator constructors give the rows of a few generators to
+``_walk_table``, which fills every other row of a ``_new_table`` by one
+n-entry gather, row(e*g) = row(e)[row(g)].  The cyclic formula and
+validation fill or read a table in row blocks of at most ``BLOCK_ENTRIES``
+entries (``_row_blocks``).  The two whole-table commute scans,
+``Group.cent_masks`` and the graphs suite's degree oracle, compare square
+tiles of as many entries with their transposes (``_tiles``), so both read
+the table a cache-sized tile at a time.  A direct product fills its table
+in one numpy pass, the Cayley parser row by row.  From order 2000 up,
+construction peaks at 1.01-1.08x the table.
 """
 
 from __future__ import annotations
@@ -122,6 +122,36 @@ def _new_table(name: str, n: int) -> np.ndarray:
     """An unfilled n x n table in ``_table_dtype``, once ``_order_limit`` admits it."""
     _order_limit(name, n)
     return np.empty((n, n), dtype=_table_dtype(n))
+
+
+def _walk_table(name: str, n: int, gens: Sequence[tuple[int, Sequence[int]]]) -> np.ndarray:
+    """The n x n table of the group ``name`` generated by ``gens``: pairs of a
+    generator's id g and its row, h -> g*h.
+
+    In the left regular representation (Cayley's theorem) (e*g)*h = e*(g*h),
+    so row(e*g) = row(e)[row(g)]: one n-entry gather.  Row 0 is the identity;
+    the walk then takes the reached elements e in order and, for each
+    generator g, fills the row of e*g, read off row e, if it is not yet filled.
+    A walk that does not reach all n elements raises ``InvariantViolation``.
+    ``Group`` validates the table whatever the rows were.
+    """
+    table = _new_table(name, n)
+    table[0] = np.arange(n, dtype=table.dtype)
+    gens = [(g, np.asarray(row, dtype=np.intp)) for g, row in gens]
+    item = table.item
+    filled = bytearray(n)
+    filled[0] = 1
+    reached = [0]
+    for e in reached:  # grows while it is walked
+        for g, row in gens:
+            x = item(e, g)
+            if not filled[x]:
+                np.take(table[e], row, out=table[x])
+                filled[x] = 1
+                reached.append(x)
+    if len(reached) != n:
+        raise InvariantViolation(f"the generators of {name} reach {len(reached)} of its {n} elements")
+    return table
 
 
 def _validate_table(table: np.ndarray, name: str) -> tuple[np.ndarray, np.ndarray]:
@@ -454,7 +484,10 @@ def group_from_generators(
     """Closure of permutation generators under composition, numbered in BFS order.
 
     Element 0 is the identity; labels are cycle-notation strings, so the
-    numbering and labels are deterministic given the generator order.
+    numbering and labels are deterministic given the generator order.  The
+    closure hashes each product e*s of an element and a generator once, and
+    keeps its id; each generator's row then follows from those ids, and
+    ``_walk_table`` fills the table from the generator rows.
     """
     limit = _order_limit(name)
     gens = list(gens)
@@ -471,70 +504,37 @@ def group_from_generators(
         deg = max(degree, 0)  # the identity's images range(degree) are empty below 0
     found = [tuple(range(deg))]  # images of the elements, in BFS order
     index = {found[0]: 0}
-    gen_images = np.array([g.images for g in gens], dtype=np.intp).reshape(len(gens), deg)
-    step = max(1, BLOCK_ENTRIES // max(1, len(gens) * deg))
+    k = len(gens)
+    gen_images = np.array([g.images for g in gens], dtype=np.intp).reshape(k, deg)
+    right = []  # right[e * k + s]: the id of e*gens[s]
+    first = [0]  # first[h]: where in ``right`` h was first met
+    step = max(1, BLOCK_ENTRIES // max(1, k * deg))
     i = 0
     while i < len(found):
         # Products e*g of a block of found elements, e in id order then g in
         # generator order: the order a one-at-a-time BFS would meet them.
         block = np.array(found[i : i + step], dtype=np.intp)
         i += len(block)
-        products = block[:, gen_images].reshape(len(block) * len(gens), deg)
+        products = block[:, gen_images].reshape(len(block) * k, deg)
         for f in map(tuple, products.tolist()):
-            if f not in index:
+            x = index.get(f)
+            if x is None:
                 if len(found) == limit:
                     raise OrderBoundError(name, f"at least {limit + 1}", limit)
-                index[f] = len(found)
+                x = index[f] = len(found)
                 found.append(f)
-    images = np.array(found, dtype=np.intp).reshape(len(found), deg)
+                first.append(len(right))
+            right.append(x)
+    # h was first met as e*s with e < h, so g*h = (g*e)*s: row g in id order
+    rows = []
+    for s in range(k):
+        row = [right[s]]  # g = 1*s
+        for q in first[1:]:
+            e, t = divmod(q, k)
+            row.append(right[row[e] * k + t])
+        rows.append((right[s], row))
     labels = cycle_strings(found, deg)
-    return Group(_perm_table(images), labels, name)
-
-
-def _perm_table(images: np.ndarray) -> np.ndarray:
-    """Multiplication table of the distinct permutations ``images`` (one row
-    of images per element, closed under composition): entry [a, h] is the id
-    of a*h, whose images are ``images[a][images[h]]`` (h applies first).
-
-    Base points are taken in point order, each only if it splits the
-    elements further (so never a point that no element moves), until the
-    images on them tell every element apart.  A permutation is then ranked
-    point by point: its rank so far and its image of the next base point
-    index a lookup array of (ranks so far) x degree entries, so no key
-    exceeds order x degree.  A product missing
-    from a lookup is not an element and raises ``InvariantViolation``.
-    """
-    n, deg = images.shape
-    rank = np.zeros(n, dtype=np.intp)
-    count = 1  # distinct ranks so far
-    levels = []  # (base point, lookup: rank * deg + image -> next rank or -1)
-    for x in np.flatnonzero((images != images[0]).any(axis=0)):  # points that move
-        if count == n:
-            break
-        pairs, next_rank = np.unique(rank * deg + images[:, x], return_inverse=True)
-        if len(pairs) > count:
-            lookup = np.full(count * deg, -1, dtype=np.intp)
-            lookup[pairs] = np.arange(len(pairs))
-            levels.append((x, lookup))
-            rank, count = next_rank.reshape(n), len(pairs)
-    if count != n:
-        raise InvariantViolation("two elements have the same images")
-    if levels:
-        lookup = levels[-1][1]
-        known = lookup >= 0
-        lookup[known] = np.argsort(rank)[lookup[known]]  # final rank -> element id
-    table = np.empty((n, n), dtype=_table_dtype(n))
-    for rows in _row_blocks(n):
-        block = images[rows]
-        rank = 0
-        for x, lookup in levels:
-            key = block[:, images[:, x]]  # [a, h] -> image of x under a*h: a(h(x))
-            key += rank * deg
-            rank = lookup[key]
-            if rank.min() < 0:
-                raise InvariantViolation("a product of two elements is not an element")
-        table[rows] = rank
-    return table
+    return Group(_walk_table(name, len(found), rows), labels, name)
 
 
 def group_from_generator_file(source: Union[str, Path]) -> Group:
@@ -619,6 +619,7 @@ def direct_product(G: Group, H: Group) -> Group:
 
 
 def _cyclic_group(n: int) -> Group:
+    # a formula, not _walk_table: it filled C20000 faster than the walk in 5 of 6 pairs (2 vCPU)
     table = _new_table(f"C{n}", n)
     ids = np.arange(n, dtype=_table_dtype(2 * n - 1))  # i + j < 2n - 1
     for rows in _row_blocks(n):
@@ -632,32 +633,22 @@ def _dihedral_group(order: int) -> Group:
     if order < 2 or order % 2:
         raise ValueError(f"dihedral group order must be even and >= 2, got {order}")
     n = order // 2
-    table = _new_table(f"D{order}", order)
-    # ids: a^i -> i, a^i b -> n + i; a^i * a^j b = a^(i+j) b, a^i b * a^j = a^(i-j) b.
-    # Row i + n*s has x = (i + j) % n, or (i - j) % n if s = 1: x + n*s at a^j, x + n*(1 - s) at a^j b.
-    s, i = np.divmod(np.arange(order, dtype=table.dtype), n)
-    signed = np.stack([i[:n], (n - i[:n]) % n])  # j and -j; unsigned, -j is (n - j) % n
-    for rows in _row_blocks(order):
-        x = i[rows, None] + signed[s[rows]]
-        np.subtract(x, n, out=x, where=x >= n)  # % n, as x < 2n
-        table[rows, :n] = x + n * s[rows, None]
-        table[rows, n:] = x + n * (1 - s[rows, None])
+    _order_limit(f"D{order}", order)  # before the rows, which grow with the order
+    # ids: a^i -> i, a^i b -> n + i.  a * a^j (b) = a^(j+1) (b); b * a^j (b) = a^-j b (a^-j).
+    j = np.arange(n, dtype=np.intp)
+    up, down = (j + 1) % n, -j % n
+    gens = [(1 % n, np.concatenate([up, n + up])), (n, np.concatenate([n + down, down]))]
     rot = ["1"] + ["a" if i == 1 else f"a^{i}" for i in range(1, n)]
     ref = ["b"] + ["ab" if i == 1 else f"a^{i}b" for i in range(1, n)]
-    return Group(table, rot + ref, f"D{order}")
+    return Group(_walk_table(f"D{order}", order, gens), rot + ref, f"D{order}")
 
 
 def _quaternion_group() -> Group:
-    # ids: 2 * axis + (1 if negative), axes 1, i, j, k = 0..3.  The axis of a
-    # product is the XOR of the axes; its sign flips when the axes' product
-    # is negative (i*i = -1, i*k = -j, j*i = -k, ...).
-    table = _new_table("Q8", 8)
-    negative = np.array([[0, 0, 0, 0], [0, 1, 0, 1], [0, 1, 1, 0], [0, 0, 1, 1]], dtype=table.dtype)
-    axis, sign = np.divmod(np.arange(8, dtype=table.dtype), 2)
-    a, b = axis[:, None], axis[None, :]
-    table[:] = 2 * (a ^ b) + (sign[:, None] ^ sign[None, :] ^ negative[a, b])
+    # ids: 2 * axis + (1 if negative), axes 1, i, j, k = 0..3; the rows of i and
+    # j list i*h and j*h for h = 1, -1, i, -i, j, -j, k, -k
+    gens = [(2, [2, 3, 1, 0, 6, 7, 5, 4]), (4, [4, 5, 7, 6, 1, 0, 2, 3])]
     labels = [s + ax for ax in ("1", "i", "j", "k") for s in ("", "-")]
-    return Group(table, labels, "Q8")
+    return Group(_walk_table("Q8", 8, gens), labels, "Q8")
 
 
 def _symmetric_group(n: int) -> Group:
@@ -670,28 +661,32 @@ def _symmetric_group(n: int) -> Group:
         if order > limit:  # stop before n! grows any further
             raise OrderBoundError(f"S{n}", order if k == n else f"{n}!", limit)
     perms = list(itertools.permutations(range(n)))  # element ids in this order
+    index = {p: i for i, p in enumerate(perms)}
+    images = np.array(perms, dtype=np.intp)
+    # (0 1) and the n-cycle; a row's entry h is the id of g*h, whose images are g(h(x))
+    generators = [(1, 0, *range(2, n)), (*range(1, n), 0)] if n > 1 else []
+    gens = [(index[g], [index[p] for p in map(tuple, np.take(g, images).tolist())]) for g in generators]
     labels = ["1"] + cycle_strings(perms[1:], n)
-    return Group(_perm_table(np.array(perms, dtype=np.intp)), labels, f"S{n}")
+    return Group(_walk_table(f"S{n}", order, gens), labels, f"S{n}")
 
 
 def _heisenberg_group(p: int) -> Group:
     """Upper unitriangular 3x3 matrices over Z/p: order p^3, center of order p."""
+    n = p**3
+    _order_limit(f"H{p}", n)  # before the primality test and the rows, whose costs grow with p
     if p < 2 or any(p % d == 0 for d in range(2, math.isqrt(p) + 1)):
         raise ValueError(f"heisenberg parameter must be prime, got {p}")
-    n = p**3
-    table = _new_table(f"H{p}", n)
-    # (a, b, c) has id (a*p + b)*p + c; (a, b, c)(a', b', c') = (a + a', b + b', c + c' + a*b')
-    a, b, c = np.indices((p, p, p), dtype=table.dtype).reshape(3, n)
-    for rows in _row_blocks(n):
-        ar, br, cr = a[rows, None], b[rows, None], c[rows, None]
-        table[rows] = (((ar + a) % p) * p + (br + b) % p) * p + (cr + c + ar * b) % p
+    # (a, b, c) has id (a*p + b)*p + c; (a, b, c)(a', b', c') = (a + a', b + b', c + c' + a*b'),
+    # so (1, 0, 0) and (0, 1, 0), ids p^2 and p, map (a, b, c) to (a + 1, b, c + b) and (a, b + 1, c)
+    a, b, c = np.indices((p, p, p), dtype=np.intp).reshape(3, n)
+    gens = [(p * p, ((a + 1) % p * p + b) * p + (c + b) % p), (p, (a * p + (b + 1) % p) * p + c)]
     labels = [
         f"({a},{b},{c})" if (a, b, c) != (0, 0, 0) else "1"
         for a in range(p)
         for b in range(p)
         for c in range(p)
     ]
-    return Group(table, labels, f"H{p}")
+    return Group(_walk_table(f"H{p}", n, gens), labels, f"H{p}")
 
 
 def builtin_group(family: str, param: Optional[int] = None) -> Group:
@@ -716,6 +711,5 @@ def builtin_group(family: str, param: Optional[int] = None) -> Group:
     if fam == "heisenberg":
         if param is None:
             raise ValueError("heisenberg requires a prime")
-        _order_limit(f"H{param}", param**3)  # before the primality test, whose cost grows with param
         return _heisenberg_group(param)
     raise ValueError(f"unknown builtin family {family!r} (expected one of {BUILTIN_FAMILIES})")

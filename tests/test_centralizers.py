@@ -192,25 +192,30 @@ class TestClosure:
 
 
 class TestElementCenter:
+    """The element center Z(g) = C_G(C_G(g)) is ``closure(G, [g])``, and the
+    ``ecenter`` of g's Z*-class."""
+
     def test_q8_i(self, q8):
         (i,) = by_label(q8, "i")
-        assert label_set(q8, c.element_center(q8, i)) == {"1", "-1", "i", "-i"}
+        assert label_set(q8, c.closure(q8, [i])) == {"1", "-1", "i", "-i"}
 
     def test_central_element_gives_center(self, fleet):
         for G in fleet.values():
             for z in G.center:
-                assert c.element_center(G, z) == G.center
+                assert c.closure(G, [z]) == G.center
 
     def test_d8_b(self, d8):
         (b,) = by_label(d8, "b")
-        assert label_set(d8, c.element_center(d8, b)) == {"1", "a^2", "b", "a^2b"}
+        assert label_set(d8, c.closure(d8, [b])) == {"1", "a^2", "b", "a^2b"}
         # C(b) is abelian here, so Z(b) = C(b)
-        assert c.element_center(d8, b) == c.centralizer(d8, [b])
+        assert c.closure(d8, [b]) == c.centralizer(d8, [b])
 
     def test_always_abelian_and_center_of_centralizer(self, fleet):
         for G in fleet.values():
+            ecenter = {g: cl.ecenter for cl in c.z_star_partition(G) for g in cl.members}
             for g in range(G.order):
-                Z = c.element_center(G, g)
+                Z = c.closure(G, [g])
+                assert Z == ecenter[g]
                 assert c.is_abelian_subset(G, Z)
                 cent = c.centralizer(G, [g])
                 zc = {x for x in cent if all(G.table[x, y] == G.table[y, x] for y in cent)}
@@ -336,16 +341,22 @@ class TestFiberSupremum:
         assert label_set(s3, c.closure(s3, [g])) == {"1", "(1,2,3)", "(1,3,2)"}
 
 
+def generated_and_closed_abelian(G, S):
+    """(is <S> abelian, is C_G(C_G(S)) abelian); the two always agree."""
+    return (c.is_abelian_subset(G, c.subgroup_generated_by(G, S)),
+            c.is_abelian_subset(G, c.closure(G, S)))
+
+
 class TestClosedAbelianIff:
     def test_s4_cases(self, s4):
         g3 = by_label(s4, "(1,2,3)")
-        assert c.is_closed_abelian_iff(s4, g3) == (True, True)
+        assert generated_and_closed_abelian(s4, g3) == (True, True)
         two = by_label(s4, "(1,2)", "(1,3)")
-        assert c.is_closed_abelian_iff(s4, two) == (False, False)
+        assert generated_and_closed_abelian(s4, two) == (False, False)
 
     def test_empty_set(self, fleet):
         for G in fleet.values():
-            assert c.is_closed_abelian_iff(G, []) == (True, True)
+            assert generated_and_closed_abelian(G, []) == (True, True)
 
     def test_booleans_always_agree(self, small_groups):
         from conftest import naive_generated
@@ -356,7 +367,7 @@ class TestClosedAbelianIff:
                 continue
             for m in range(1 << n):
                 ids = ids_from_mask(m)
-                a, b = c.is_closed_abelian_iff(G, ids)
+                a, b = generated_and_closed_abelian(G, ids)
                 assert a == b
                 assert a == naive_abelian_subset(G, sorted(naive_generated(G, ids)))
 
@@ -367,5 +378,5 @@ class TestClosedAbelianIff:
         for G in fleet.values():
             for _ in range(10):
                 ids = rng.sample(range(G.order), rng.randint(0, 5))
-                a, b = c.is_closed_abelian_iff(G, ids)
+                a, b = generated_and_closed_abelian(G, ids)
                 assert a == b

@@ -65,8 +65,8 @@ LONG_BASE_CYCLES = ["(1,2,3)", "(1,2)", "(100,101)", "(1000,1001)", "(2000,2001)
 
 
 def test_generated_with_long_base_of_high_degree():
-    # Every base needs 6 points, and mixed-radix keys over 6 points of degree
-    # 4096 reach 4096**6 = 2**72, past int64.
+    # Only the images of 6 far-apart points tell the 96 elements apart, and a
+    # mixed-radix key over 6 points of degree 4096 would reach 2**72, past int64.
     deg = 4096
     gens = [c.parse_cycle_notation(cyc, deg) for cyc in LONG_BASE_CYCLES]
     assert deg**6 > np.iinfo(np.int64).max
@@ -121,7 +121,9 @@ def test_generated_in_small_row_blocks(case, monkeypatch):
     lambda: c.builtin_group("dihedral", 2000),
     lambda: c.builtin_group("heisenberg", 13),
     lambda: c.direct_product(c.builtin_group("cyclic", 40), c.builtin_group("cyclic", 50)),
-], ids=["C2000", "D2000", "H13", "C40xC50"])
+    lambda: c.builtin_group("symmetric", 6),
+    (lambda gens: lambda: c.group_from_generators(gens))(unitriangular_generators(4, 3)),
+], ids=["C2000", "D2000", "H13", "C40xC50", "S6", "UT4_3"])
 def test_construction_peaks_at_the_table_plus_blocks(build):
     # An n x n temporary beside the table (8 MB at order 2000) breaks the bound.
     import tracemalloc
@@ -135,11 +137,28 @@ def test_construction_peaks_at_the_table_plus_blocks(build):
     assert peak <= G.table.nbytes + (2 << 20), (peak, G.table.nbytes)
 
 
-def test_product_outside_the_elements_raises():
-    # The identity and a 3-cycle without its square: (1,2,3)^2 is not a row.
-    images = np.array([[0, 1, 2], [1, 2, 0]], dtype=np.intp)
-    with pytest.raises(c.InvariantViolation, match="not an element"):
-        groups._perm_table(images)
+def d8_generator_rows():
+    """D8's generators a and b (ids 1 and 4) with their rows, h -> g*h."""
+    D8 = c.builtin_group("dihedral", 8)
+    return [(g, D8.table[g].tolist()) for g in (1, 4)]
+
+
+def test_walk_that_misses_elements_raises():
+    # a alone reaches only its four powers
+    with pytest.raises(c.InvariantViolation, match="^the generators of D8 reach 4 of its 8 elements$"):
+        groups._walk_table("D8", 8, d8_generator_rows()[:1])
+
+
+def test_walk_with_a_wrong_row_is_rejected_by_validation():
+    # b's row with b*a and b*a^2 swapped still reaches all eight elements, and
+    # keeps the identity law, but its table is no group: validation reads the
+    # table, not the rows it was filled from
+    a, (b, row) = d8_generator_rows()
+    row[1], row[2] = row[2], row[1]
+    table = groups._walk_table("D8", 8, [a, (b, row)])
+    assert table[:, 0].tolist() == list(range(8))
+    with pytest.raises(c.GroupTableError):
+        c.Group(table, name="D8")
 
 
 @pytest.mark.parametrize("family,param", [("dihedral", 8), ("heisenberg", 3)])

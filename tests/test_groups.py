@@ -630,7 +630,7 @@ class TestValidationInvariants:
         assert [c.subgroup_label(d8, n) for n in lat.nodes] == [
             "<a^2>", "<a>", "<a^2,b>", "<a^2,ab>", "D8",
         ]
-        assert c.subgroup_label(q8, c.element_center(q8, by_label(q8, "i")[0])) == "<i>"
+        assert c.subgroup_label(q8, c.closure(q8, by_label(q8, "i"))) == "<i>"
         assert c.subgroup_label(d8, c.subgroup_generated_by(d8, [])) == "1"
 
 

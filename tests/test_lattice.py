@@ -221,7 +221,7 @@ class TestCenterPoset:
     def test_node_set_is_element_centers(self, fleet):
         for G in fleet.values():
             poset = c.center_poset(G)
-            expected = {c.element_center(G, g).mask for g in range(G.order)}
+            expected = {c.closure(G, [g]).mask for g in range(G.order)}
             assert expected == {n.mask for n in poset.nodes}
 
     def test_class_sizes_sum_to_order(self, fleet):

@@ -41,7 +41,7 @@ class TestMoebiusFunction:
     def test_value_lookup_by_subgroup(self, d8):
         poset = c.center_poset(d8)
         table = c.moebius(poset)
-        a_sub = c.element_center(d8, 1)  # <a>
+        a_sub = c.closure(d8, [1])  # Z(a) = <a>
         assert table.value(a_sub) == -1
 
     def test_ut42_has_a_zero_mu_node(self, fleet):
