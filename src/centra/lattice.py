@@ -151,45 +151,40 @@ def build_lattice(G: Group) -> CentLattice:
 
     By the intersection law every C_G(S) is the intersection of the C_G(s),
     s in S, so this yields every centralizer without touching the power set.
-    Element centralizers join one at a time, smallest first: after each, the
-    set holds every intersection of those added so far.  The order changes
-    only the cost, which the sum of the set sizes bounds.
+    Only the meet-irreducible C(x) join, as every node of a finite lattice is
+    a meet of those: C(x) is one iff C(Z(x) - Z*(x)), the meet of the C(y)
+    properly above it, is not C(x).  They join one at a time, smallest first:
+    after each, the set holds every intersection of those added so far.  The
+    order changes only the cost, which the sum of the set sizes bounds.
     """
     masks = {G.full_mask}
-    for g in sorted(set(G.cent_masks) - masks, key=int.bit_count):
+    irreducible = {c.cent.mask for c in z_star_partition(G)
+                   if centralizer_mask(G, c.ecenter.mask & ~c.members.mask) != c.cent.mask}
+    for g in sorted(irreducible, key=int.bit_count):
         masks |= {m & g for m in masks}
     return CentLattice(G, list(masks))
 
 
 class CenterPoset(_NodeOrder):
-    """The element centers Z(g) together with Z(G), ordered by containment.
-
-    ``class_sizes[i]`` is |Z*(g)| for the class whose element center is
-    ``nodes[i]``; Z(G) carries the central class of size |Z(G)|.
-    """
+    """The element centers Z(g) together with Z(G), ordered by containment."""
 
     _kind = "poset"
 
-    def __init__(self, group: Group, masks: list[int], class_sizes: dict[int, int]):
+    def __init__(self, group: Group, masks: list[int]):
         super().__init__(group, masks)
-        self.class_sizes = tuple(class_sizes[node.mask] for node in self.nodes)
         self.min_index = self._index[group.center.mask]
 
 
 @per_group
 def center_poset(G: Group) -> CenterPoset:
     """Build the poset of element centers (one per Z*-class) plus Z(G)."""
-    sizes: dict[int, int] = {}
-    masks: list[int] = []
-    for c in z_star_partition(G):
-        m = c.ecenter.mask
-        if m in sizes:
-            raise InvariantViolation("two Z*-classes share an element center")
-        sizes[m] = len(c.members)
-        masks.append(m)
-    if G.center.mask not in sizes:
+    masks = [c.ecenter.mask for c in z_star_partition(G)]
+    distinct = set(masks)
+    if len(distinct) != len(masks):
+        raise InvariantViolation("two Z*-classes share an element center")
+    if G.center.mask not in distinct:
         raise InvariantViolation("center missing from the element-center poset")
-    return CenterPoset(G, masks, sizes)
+    return CenterPoset(G, masks)
 
 
 @per_group

@@ -9,7 +9,7 @@ from typing import Callable, Optional
 
 from .centralizers import z_star_partition
 from .groups import Group, InvariantViolation, _least_prime, per_group
-from .lattice import CenterPoset, build_lattice, center_poset, is_f_group
+from .lattice import CenterPoset, CentLattice, build_lattice, center_poset, is_f_group
 from .sets import ids_from_mask
 
 
@@ -154,34 +154,37 @@ def check_class_size_congruence(G: Group, p: int) -> CongruenceReport:
     return report
 
 
+def _sums_within(lat: CentLattice, weights) -> list[int]:
+    """Per lattice node H, the total weight of the (element center, weight)
+    pairs with the center in H: the center's node and its ``above`` get it."""
+    sums = [0] * len(lat.nodes)
+    for center, weight in weights:
+        i = lat.index_of(center)
+        for j in (i, *ids_from_mask(lat.above[i])):
+            sums[j] += weight
+    return sums
+
+
 @_once_per_group(nonabelian=True)
 def check_mob_sums(G: Group, p: int) -> CongruenceReport:
-    """Both Möbius sum congruences over the centralizer lattice.
+    """Both Möbius sum congruences over the centralizer lattice, read from one
+    table of mu-sums over the non-central element centers within each node.
 
-    For every lattice node H properly containing Z(G), the mu-sum over
-    non-central element centers inside H is -1 mod p; dually, for every node
-    H properly inside G, the mu-sum over proper element centralizers
-    containing H (evaluated at their centers) is -1 mod p.
+    For every node H properly containing Z(G), the sum within H is -1 mod p;
+    dually, for every node H properly inside G, so is the mu-sum over proper
+    element centralizers containing H (at their centers), which is the sum
+    within C(H) by the Galois duality H <= C(x) iff Z(x) <= C(H).
     """
     lat = build_lattice(G)
-    poset = center_poset(G)
-    table = moebius(poset)
-    center_mask = G.center.mask
-    full = G.full_mask
-    noncentral = [
-        (c.cent.mask, table.value(c.ecenter), c.ecenter.mask)
-        for c in z_star_partition(G)
-        if c.cent.mask != full
-    ]
+    table = moebius(center_poset(G))
+    within = _sums_within(lat, ((c.ecenter, table.value(c.ecenter))
+                                for c in z_star_partition(G) if c.cent.mask != G.full_mask))
     report = CongruenceReport("mob_sums", G.name, p)
-    for i, node in enumerate(lat.nodes):
-        hm = node.mask
-        if hm != center_mask:
-            total = sum(mu for _, mu, zm in noncentral if zm & ~hm == 0)
-            report.add(f"centers within {lat.labels[i]}", total, -1)
-        if hm != full:
-            total = sum(mu for cm, mu, _ in noncentral if hm & ~cm == 0)
-            report.add(f"centralizers above {lat.labels[i]}", total, -1)
+    for i in range(len(lat.nodes)):
+        if i != lat.bottom:
+            report.add(f"centers within {lat.labels[i]}", within[i], -1)
+        if i != lat.top:
+            report.add(f"centralizers above {lat.labels[i]}", within[lat.dual[i]], -1)
     return report
 
 
@@ -189,22 +192,22 @@ def check_mob_sums(G: Group, p: int) -> CongruenceReport:
 def check_f_group_counts(G: Group, p: int) -> CongruenceReport:
     """F-group counting congruences.
 
-    Per proper element centralizer H: the number of non-central element
-    centers inside H is 1 mod p; per element center H: the number of proper
-    element centralizers containing H is 1 mod p; and |Z(G)-centers| is
-    1 mod p.  Also records that mu = -1 at every non-minimal node.
+    Per proper element centralizer C(x), the non-central element centers in
+    C(x) and the proper element centralizers containing Z(x) number 1 mod p:
+    one count per lattice node, as Z(x) <= C(y) iff y in C(Z(x)) = C(x) iff
+    Z(y) <= C(x).  |Z(G)-centers| is 1 mod p; mu = -1 off the minimal node.
     """
     poset = center_poset(G)
     table = moebius(poset)
-    full = G.full_mask
-    classes = [c for c in z_star_partition(G) if c.cent.mask != full]
+    lat = build_lattice(G)
+    classes = [c for c in z_star_partition(G) if c.cent.mask != G.full_mask]
+    within = _sums_within(lat, ((c.ecenter, 1) for c in classes))
+    counts = [within[lat.index_of(c.cent)] for c in classes]
     report = CongruenceReport("f_group_counts", G.name, p)
-    for c in classes:
-        inside = sum(1 for d in classes if d.ecenter.mask & ~c.cent.mask == 0)
-        report.add(f"centers within C({G.labels[c.representative]})", inside, 1)
-    for c in classes:
-        above = sum(1 for d in classes if c.ecenter.mask & ~d.cent.mask == 0)
-        report.add(f"centralizers above Z({G.labels[c.representative]})", above, 1)
+    for c, count in zip(classes, counts):
+        report.add(f"centers within C({G.labels[c.representative]})", count, 1)
+    for c, count in zip(classes, counts):
+        report.add(f"centralizers above Z({G.labels[c.representative]})", count, 1)
     report.add("number of non-central element centers", len(classes), 1)
     for i, m in enumerate(table.mu):
         if i != poset.min_index:

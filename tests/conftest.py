@@ -14,6 +14,7 @@ import pytest
 
 import centra as c
 from centra.checks import EXHAUSTIVE_LIMIT, _mask_str, _sampled_pairs, _subset_masks, _Suite
+from centra.moebius import CongruenceReport, p_group_prime
 from centra.sets import ids_from_mask
 
 # -- naive oracles (definition-level, no bitmask shortcuts) -------------------
@@ -241,6 +242,52 @@ def leq_moebius(obj):
     return mu
 
 
+def former_mob_sums(G):
+    """``check_mob_sums(G).as_dict()`` by the former scan of every lattice
+    node against every non-central Z*-class, at the group's own prime."""
+    lat = c.build_lattice(G)
+    poset = c.center_poset(G)
+    table = c.moebius(poset)
+    center_mask = G.center.mask
+    full = G.full_mask
+    noncentral = [
+        (cl.cent.mask, table.value(cl.ecenter), cl.ecenter.mask)
+        for cl in c.z_star_partition(G)
+        if cl.cent.mask != full
+    ]
+    report = CongruenceReport("mob_sums", G.name, p_group_prime(G.order))
+    for i, node in enumerate(lat.nodes):
+        hm = node.mask
+        if hm != center_mask:
+            total = sum(mu for _, mu, zm in noncentral if zm & ~hm == 0)
+            report.add(f"centers within {lat.labels[i]}", total, -1)
+        if hm != full:
+            total = sum(mu for cm, mu, _ in noncentral if hm & ~cm == 0)
+            report.add(f"centralizers above {lat.labels[i]}", total, -1)
+    return report.as_dict()
+
+
+def former_f_group_counts(G):
+    """``check_f_group_counts(G).as_dict()`` by the former scans of every
+    non-central Z*-class against every other, at the group's own prime."""
+    poset = c.center_poset(G)
+    table = c.moebius(poset)
+    full = G.full_mask
+    classes = [cl for cl in c.z_star_partition(G) if cl.cent.mask != full]
+    report = CongruenceReport("f_group_counts", G.name, p_group_prime(G.order))
+    for a in classes:
+        inside = sum(1 for d in classes if d.ecenter.mask & ~a.cent.mask == 0)
+        report.add(f"centers within C({G.labels[a.representative]})", inside, 1)
+    for a in classes:
+        above = sum(1 for d in classes if a.ecenter.mask & ~d.cent.mask == 0)
+        report.add(f"centralizers above Z({G.labels[a.representative]})", above, 1)
+    report.add("number of non-central element centers", len(classes), 1)
+    for i, m in enumerate(table.mu):
+        if i != poset.min_index:
+            report.add_exact(f"mu at {poset.labels[i]}", m, -1)
+    return report.as_dict()
+
+
 def naive_u_star(G, H, xs, cents):
     """U*_H by definition: the ids x in ``xs`` whose centralizer contains H.
     ``cents`` caches naive_centralizer(G, [x]) as a mask per x."""
@@ -443,6 +490,12 @@ def by_label(G, *labels):
 def unitriangular_generators(n, p):
     """Generators of UT(n, p) acting on the p^n column vectors (degree p^n):
     the n - 1 transvections I + E(i, i+1)."""
+    return transvections(n, p, [(i, i + 1) for i in range(n - 1)])
+
+
+def transvections(n, p, pairs):
+    """The transvections I + E(i, j), one per (i, j) in ``pairs``, as
+    permutations of the p^n column vectors."""
     pts = list(itertools.product(range(p), repeat=n))
     idx = {v: i for i, v in enumerate(pts)}
 
@@ -458,13 +511,20 @@ def unitriangular_generators(n, p):
         m[i][j] = 1
         return m
 
-    return [perm_of(transvection(i, i + 1)) for i in range(n - 1)]
+    return [perm_of(transvection(i, j)) for i, j in pairs]
 
 
 def unitriangular(n, p):
     """UT(n, p) acting on the p^n column vectors; order p^(n(n-1)/2).
     UT(4, p) is non-F."""
     return c.group_from_generators(unitriangular_generators(n, p), name=f"UT{n}({p})")
+
+
+def extraspecial_32():
+    """The extraspecial group 2^(1+4), order 32, as 4x4 Heisenberg matrices
+    [[1, a, c], [0, I, b], [0, 0, 1]]: an F-group whose proper element
+    centralizers (order 16) are nonabelian, so C(x) is not Z(x) (order 4)."""
+    return c.group_from_generators(transvections(4, 2, [(0, 1), (0, 2), (1, 3), (2, 3)]), name="2^(1+4)")
 
 
 # -- naive constructors: one Python step per table entry -----------------------
@@ -703,6 +763,12 @@ def h3():
 def ut43xc3():
     """UT(4,3) x C3, order 3^7: the largest group the tests build."""
     return c.direct_product(unitriangular(4, 3), c.builtin_group("cyclic", 3))
+
+
+@pytest.fixture(scope="session")
+def ut52():
+    """UT(5,2), order 1024: 3885 lattice nodes, the most the tests build."""
+    return unitriangular(5, 2)
 
 
 @pytest.fixture(scope="session")

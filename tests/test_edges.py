@@ -36,7 +36,7 @@ class TestMoebiusGuard:
         afresh, so D8's shared poset keeps its mu."""
         shared = c.center_poset(d8)
         masks = [node.mask for node in shared.nodes]
-        poset = c.CenterPoset(d8, masks, dict(zip(masks, shared.class_sizes)))
+        poset = c.CenterPoset(d8, masks)
         poset.min_index = len(poset.nodes) - 1
         with pytest.raises(ValueError, match="unique minimal"):
             c.moebius(poset)

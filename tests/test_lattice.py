@@ -19,6 +19,7 @@ from conftest import (
     unitriangular,
     worklist_lattice_masks,
 )
+from centra import lattice
 from centra.lattice import _sorted_masks
 from centra.sets import ids_from_mask
 
@@ -82,6 +83,31 @@ class TestBuildLattice:
         assert masks == worklist_lattice_masks(G)
         if name == "UT5_2":
             assert G.order == 1024 and len(masks) == 3885
+
+    @pytest.mark.parametrize("name", ORDER_FLEET)
+    def test_joins_the_meet_irreducible_centralizers(self, order_fleet, monkeypatch, name):
+        """The ascending loop is fed exactly the element centralizers with one
+        upper cover, the meet-irreducible ones; built on a fresh twin group
+        so the spy sees the loop run."""
+        G = order_fleet[name]
+        twin = c.Group(G.table, G.labels, G.name)
+        fed = []
+
+        def spy(masks, key=None):
+            masks = list(masks)
+            if key is int.bit_count:
+                fed.extend(masks)
+            return sorted(masks, key=key)
+
+        monkeypatch.setattr(lattice, "sorted", spy, raising=False)
+        lat = c.build_lattice(twin)
+        monkeypatch.undo()
+        upper = [0] * len(lat.nodes)  # upper covers per node
+        for i, _ in c.hasse_edges(lat):
+            upper[i] += 1
+        element = {lat.index_of(cl.cent) for cl in c.z_star_partition(twin)}
+        assert len(fed) == len(set(fed))
+        assert set(fed) == {lat.nodes[i].mask for i in element if upper[i] == 1}
 
     def test_nodes_are_fixed_points(self, fleet):
         for G in fleet.values():
@@ -195,7 +221,8 @@ class TestCenterPoset:
         poset = c.center_poset(d8)
         assert node_labels(d8, poset) == ["<a^2>", "<a>", "<a^2,b>", "<a^2,ab>"]
         assert poset.min_index == 0
-        assert poset.class_sizes == (2, 2, 2, 2)
+        sizes = {cl.ecenter.mask: len(cl.members) for cl in c.z_star_partition(d8)}
+        assert sizes == {node.mask: 2 for node in poset.nodes}
         for i in (1, 2, 3):
             for j in (1, 2, 3):
                 assert node_leq(poset, i, j) == (i == j)
@@ -208,7 +235,7 @@ class TestCenterPoset:
         G = c.builtin_group("cyclic", 4)
         poset = c.center_poset(G)
         assert len(poset.nodes) == 1
-        assert poset.class_sizes == (4,)
+        assert [(cl.ecenter, len(cl.members)) for cl in c.z_star_partition(G)] == [(poset.nodes[0], 4)]
 
     def test_nodes_are_abelian_and_min_is_center(self, fleet):
         for G in fleet.values():
@@ -225,8 +252,11 @@ class TestCenterPoset:
             assert expected == {n.mask for n in poset.nodes}
 
     def test_class_sizes_sum_to_order(self, fleet):
+        """|Z*(x)| per element center Z(x), one center per class, sums to |G|."""
         for G in fleet.values():
-            assert sum(c.center_poset(G).class_sizes) == G.order
+            sizes = {cl.ecenter.mask: len(cl.members) for cl in c.z_star_partition(G)}
+            assert set(sizes) == {node.mask for node in c.center_poset(G).nodes}
+            assert sum(sizes.values()) == G.order
 
 
 class TestFGroup:

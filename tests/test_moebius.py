@@ -5,7 +5,14 @@ import pytest
 
 import centra as c
 from centra.moebius import p_group_prime
-from conftest import ORDER_FLEET, leq_moebius, node_leq
+from conftest import (
+    ORDER_FLEET,
+    extraspecial_32,
+    former_f_group_counts,
+    former_mob_sums,
+    leq_moebius,
+    node_leq,
+)
 
 
 class TestMoebiusFunction:
@@ -117,6 +124,13 @@ class TestMobSums:
         assert sum(1 for lab in labels if lab.startswith("centers within")) == 4
         assert sum(1 for lab in labels if lab.startswith("centralizers above")) == 4
 
+    def test_matches_former_scan(self, fleet, order_fleet, ut43xc3, ut52):
+        """The up-set sums give the former node-by-class scan's report, line
+        for line, on the fleet, UT(4,3), UT(4,3)xC3 and UT(5,2)."""
+        groups = [*fleet.values(), order_fleet["UT4_3"], ut43xc3, ut52]
+        for G in groups:
+            assert c.check_mob_sums(G).as_dict() == former_mob_sums(G), G.name
+
     def test_rejects_abelian(self):
         with pytest.raises(ValueError, match="abelian"):
             c.check_mob_sums(c.builtin_group("cyclic", 4))
@@ -150,6 +164,14 @@ class TestFGroupCounts:
             rep = c.check_f_group_counts(fleet[key])
             mu_rows = [line for line in rep.lines if line.label.startswith("mu at")]
             assert mu_rows and all(line.lhs == -1 and line.passed for line in mu_rows)
+
+    def test_matches_former_scan(self, fleet):
+        """Both per-class counts, read at the node of C(x), give the former
+        class-by-class scan's report, line for line, on every F-group of the
+        fleet, and on 2^(1+4), where C(x) is not Z(x) and the counts are 7."""
+        groups = [fleet[key] for key in ("D8", "Q8", "D16", "H3", "H5", "D8xC2")]
+        for G in groups + [extraspecial_32()]:
+            assert c.check_f_group_counts(G).as_dict() == former_f_group_counts(G), G.name
 
     def test_rejects_non_f_group(self, fleet):
         with pytest.raises(ValueError, match="not an F-group"):
