@@ -36,7 +36,7 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence, TypeVar, Un
 
 import numpy as np
 
-from .perm import Permutation, cycle_strings, parse_cycle_notation
+from .perm import Permutation, _cycle_map, cycle_strings
 from .sets import ElemSet, Subgroup
 
 TABLE_BYTES_ENV = "CENTRA_TABLE_BYTES"
@@ -77,20 +77,36 @@ def _table_dtype(order: int) -> np.dtype:
     return np.dtype(np.uint16 if order <= 1 << 16 else np.uint32)
 
 
-def _order_limit(name: str, order: int = 1) -> int:
-    """The largest order whose table, in ``_table_dtype``, fits in the byte
-    budget ``CENTRA_TABLE_BYTES``; raise ``OrderBoundError`` if the group
-    ``name`` of ``order`` elements is above it.  O(1): no table is built."""
+def _table_budget() -> int:
+    """The byte budget ``CENTRA_TABLE_BYTES``, which must be a positive integer."""
     raw = os.environ.get(TABLE_BYTES_ENV, str(DEFAULT_TABLE_BYTES))
     budget = int(raw) if raw.isdecimal() else 0
     if budget <= 0:
         raise ValueError(f"{TABLE_BYTES_ENV} must be a positive integer number of bytes, got {raw!r}")
+    return budget
+
+
+def _order_limit(name: str, order: int = 1) -> int:
+    """The largest order whose table, in ``_table_dtype``, fits in the byte
+    budget ``CENTRA_TABLE_BYTES``; raise ``OrderBoundError`` if the group
+    ``name`` of ``order`` elements is above it.  O(1): no table is built."""
+    budget = _table_budget()
     limit = math.isqrt(budget // 2)  # at uint16's two bytes an entry
     if _table_dtype(limit).itemsize > 2:  # past uint16: four bytes an entry, but every uint16 order fits
         limit = max(1 << 16, math.isqrt(budget // 4))
     if order > limit:
         raise OrderBoundError(name, order, limit)
     return limit
+
+
+def _check_rows(name: str, count: int, points: int) -> None:
+    """Refuse ``count`` permutation image rows of ``points`` entries, in
+    ``_table_dtype(points)``, that do not fit in the byte budget."""
+    size = count * points * _table_dtype(points).itemsize
+    budget = _table_budget()
+    if size > budget:
+        raise ValueError(f"{name}: {count} permutation rows of {points} points take {size} bytes, "
+                         f"more than the {budget} of {TABLE_BYTES_ENV}")
 
 
 def _row_blocks(n: int) -> Iterator[slice]:
@@ -481,64 +497,75 @@ def group_from_generators(
     degree: Optional[int] = None,
     name: str = "G",
 ) -> Group:
-    """Closure of permutation generators under composition, numbered in BFS order.
+    """Closure of permutation generators under composition, numbered in BFS
+    order by ``_permutation_group``.  Element 0 is the identity; labels are
+    cycle-notation strings, so the numbering and labels are deterministic
+    given the generator order."""
+    gens = list(gens)
+    deg = gens[0].degree if gens else degree
+    if deg is None:
+        raise ValueError("degree is required when no generators are given")
+    for p in gens:
+        if p.degree != deg:
+            raise ValueError(f"degree mismatch: {p.degree} vs {deg}")
+    if degree is not None and degree != deg:
+        raise ValueError(f"degree mismatch: generators have degree {deg}, got {degree}")
+    deg = max(deg, 0)  # the identity's images range(degree) are empty below 0
+    images = np.array([p.images for p in gens], dtype=_table_dtype(deg)).reshape(len(gens), deg)
+    return _permutation_group(name, images)
 
-    Element 0 is the identity; labels are cycle-notation strings, so the
-    numbering and labels are deterministic given the generator order.  The
-    closure hashes each product e*s of an element and a generator once, and
-    keeps its id; each generator's row then follows from those ids, and
-    ``_walk_table`` fills the table from the generator rows.
+
+def _permutation_group(name: str, gens: np.ndarray) -> Group:
+    """The group generated by ``gens``, k image rows in the ``_table_dtype``
+    of their degree, numbered in breadth-first order (Butler, *Fundamental
+    Algorithms for Permutation Groups*, 1991).
+
+    Every element fixes the points no generator moves, so its image row keeps
+    only the m others, renumbered in order.  Each element is keyed by the
+    bytes of its row in one dict.  The closure meets the products e*s a block
+    of found elements e at a time, e in id order, then s in generator order,
+    as a one-at-a-time search would; after each block the stored rows must
+    fit in the byte budget.  Generator g's row, h -> g*h, gathers g(h(x))
+    over a block of elements h and looks each product up.  A block holds at
+    most ``BLOCK_ENTRIES`` entries or one element's products.
     """
     limit = _order_limit(name)
-    gens = list(gens)
-    if gens:
-        deg = gens[0].degree
-        for p in gens:
-            if p.degree != deg:
-                raise ValueError(f"degree mismatch: {p.degree} vs {deg}")
-        if degree is not None and degree != deg:
-            raise ValueError(f"degree mismatch: generators have degree {deg}, got {degree}")
-    else:
-        if degree is None:
-            raise ValueError("degree is required when no generators are given")
-        deg = max(degree, 0)  # the identity's images range(degree) are empty below 0
-    found = [tuple(range(deg))]  # images of the elements, in BFS order
+    support = np.flatnonzero((gens != np.arange(gens.shape[1], dtype=gens.dtype)).any(axis=0))
+    k, m = len(gens), len(support)
+    gens = np.searchsorted(support, gens[:, support]).astype(_table_dtype(m))
+    found = [np.arange(m, dtype=gens.dtype).tobytes()]  # image bytes, in BFS order
     index = {found[0]: 0}
-    k = len(gens)
-    gen_images = np.array([g.images for g in gens], dtype=np.intp).reshape(k, deg)
-    right = []  # right[e * k + s]: the id of e*gens[s]
-    first = [0]  # first[h]: where in ``right`` h was first met
-    step = max(1, BLOCK_ENTRIES // max(1, k * deg))
-    i = 0
-    while i < len(found):
-        # Products e*g of a block of found elements, e in id order then g in
-        # generator order: the order a one-at-a-time BFS would meet them.
-        block = np.array(found[i : i + step], dtype=np.intp)
-        i += len(block)
-        products = block[:, gen_images].reshape(len(block) * k, deg)
-        for f in map(tuple, products.tolist()):
-            x = index.get(f)
-            if x is None:
+    step = max(1, BLOCK_ENTRIES // max(1, k * m))
+
+    def images(lo: int) -> np.ndarray:
+        chunk = found[lo : lo + step]
+        return np.frombuffer(b"".join(chunk), gens.dtype).reshape(len(chunk), m)
+
+    lo = 0
+    while lo < len(found):  # found grows while it is walked
+        block = images(lo)
+        lo += len(block)
+        for f in map(bytes, block[:, gens].reshape(len(block) * k, m)):  # e*s: x -> e(s(x))
+            if f not in index:
                 if len(found) == limit:
                     raise OrderBoundError(name, f"at least {limit + 1}", limit)
-                x = index[f] = len(found)
+                index[f] = len(found)
                 found.append(f)
-                first.append(len(right))
-            right.append(x)
-    # h was first met as e*s with e < h, so g*h = (g*e)*s: row g in id order
-    rows = []
-    for s in range(k):
-        row = [right[s]]  # g = 1*s
-        for q in first[1:]:
-            e, t = divmod(q, k)
-            row.append(right[row[e] * k + t])
-        rows.append((right[s], row))
-    labels = cycle_strings(found, deg)
-    return Group(_walk_table(name, len(found), rows), labels, name)
+        _check_rows(name, len(found), m)
+    rows: list[list[int]] = [[] for _ in gens]
+    for lo in range(0, len(found), step):
+        for row, products in zip(rows, gens[:, images(lo)]):  # g*h: x -> g(h(x))
+            row.extend(map(index.__getitem__, map(bytes, products)))
+    elements = (e for lo in range(0, len(found), step) for e in images(lo).tolist())
+    labels = cycle_strings(elements, support.tolist())
+    table = _walk_table(name, len(found), list(zip(map(index.__getitem__, map(bytes, gens)), rows)))
+    return Group(table, labels, name)
 
 
 def group_from_generator_file(source: Union[str, Path]) -> Group:
-    """Load a group from a generator file: ``perm <degree>`` then one cycle per line."""
+    """Load a group from a generator file: ``perm <degree>`` then one cycle
+    per line.  The generators' image rows and the identity's must fit in the
+    byte budget, which is checked before anything of the degree's size."""
     path = Path(source)
     lines = [ln.strip() for ln in path.read_text().splitlines() if ln.strip()]
     if not lines or not lines[0].startswith("perm "):
@@ -549,8 +576,12 @@ def group_from_generator_file(source: Union[str, Path]) -> Group:
         raise ValueError(f"{path}: bad degree in header {lines[0]!r}") from exc
     if deg <= 0:
         raise ValueError(f"{path}: degree must be positive, got {deg}")
-    gens = [parse_cycle_notation(ln, deg) for ln in lines[1:]]
-    return group_from_generators(gens, degree=deg, name=path.stem)
+    maps = [_cycle_map(ln, deg) for ln in lines[1:]]
+    _check_rows(path.stem, len(maps) + 1, deg)
+    gens = np.tile(np.arange(deg, dtype=_table_dtype(deg)), (len(maps), 1))
+    for row, images in zip(gens, maps):
+        row[list(images)] = list(images.values())
+    return _permutation_group(path.stem, gens)
 
 
 def parse_cayley_table_text(text: str, name: str = "table") -> Group:
@@ -666,7 +697,7 @@ def _symmetric_group(n: int) -> Group:
     # (0 1) and the n-cycle; a row's entry h is the id of g*h, whose images are g(h(x))
     generators = [(1, 0, *range(2, n)), (*range(1, n), 0)] if n > 1 else []
     gens = [(index[g], [index[p] for p in map(tuple, np.take(g, images).tolist())]) for g in generators]
-    labels = ["1"] + cycle_strings(perms[1:], n)
+    labels = ["1"] + cycle_strings(perms[1:], range(n))
     return Group(_walk_table(f"S{n}", order, gens), labels, f"S{n}")
 
 

@@ -219,15 +219,20 @@ def hasse_edges(poset: _NodeOrder) -> tuple[tuple[int, int], ...]:
     """Covering pairs (i, j) of a CentLattice or CenterPoset: node i is covered
     by node j.  Ordered by (i, j) under the object's node ordering; computed
     once per lattice or poset from the strict up-sets ``above``: j covers i iff
-    j is above i and above no node that is itself above i."""
+    j is above i and above no node that is itself above i.
+
+    Nodes are sorted by size, so a node above i is reached, in ascending
+    index order, after every node between it and i.  A node above a
+    non-cover of i is above a cover of i, so the lowest node of ``above[i]``
+    not above a cover found so far is the next cover, and only the covers'
+    up-sets are ORed."""
     above = poset.above
     edges = []
     for i, up in enumerate(above):
-        if up:
-            higher = 0
-            for k in ids_from_mask(up):
-                higher |= above[k]
-            edges += [(i, j) for j in ids_from_mask(up & ~higher)]
+        while up:
+            j = (up & -up).bit_length() - 1
+            edges.append((i, j))
+            up &= ~(above[j] | 1 << j)
     return tuple(edges)
 
 

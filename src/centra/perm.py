@@ -50,7 +50,7 @@ class Permutation:
 
     def cycle_string(self) -> str:
         """Cycle notation over 1-based points; the identity is ``()``."""
-        return cycle_strings([self.images], self.degree)[0]
+        return cycle_strings([self.images], range(self.degree))[0]
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Permutation):
@@ -64,15 +64,16 @@ class Permutation:
         return f"Permutation({self.cycle_string()!r}, degree={self.degree})"
 
 
-def cycle_strings(perms: Iterable[Sequence[int]], degree: int) -> list[str]:
-    """Cycle notation over 1-based points of each bijection in ``perms`` (image
-    sequences of length ``degree``, trusted rather than re-checked).  Each cycle
-    starts at its least point, cycles go in order of those points, and the
-    identity is ``()``."""
-    names = [str(p + 1) for p in range(degree)]
+def cycle_strings(perms: Iterable[Sequence[int]], points: Sequence[int]) -> list[str]:
+    """Cycle notation over 1-based points of each bijection in ``perms``: image
+    sequences over positions 0..len(points)-1, trusted rather than re-checked,
+    position i standing for the 0-based point ``points[i]``, in ascending
+    order.  Each cycle starts at its least point, cycles go in order of those
+    points, and the identity is ``()``."""
+    names = [str(p + 1) for p in points]
     out = []
     for images in perms:
-        seen = bytearray(degree)
+        seen = bytearray(len(names))
         parts = []
         for start, x in enumerate(images):
             if x == start or seen[start]:
@@ -96,25 +97,31 @@ def parse_cycle_notation(text: str, degree: int) -> Permutation:
     """
     if degree <= 0:
         raise ValueError(f"degree must be positive, got {degree}")
+    images = list(range(degree))
+    for a, b in _cycle_map(text, degree).items():
+        images[a] = b
+    return Permutation(images)
+
+
+def _cycle_map(text: str, degree: int) -> dict[int, int]:
+    """The 0-based image of each point in the cycles of ``text``, checked as
+    ``parse_cycle_notation`` checks them; nothing grows with ``degree``."""
     if text == "()":
-        return Permutation.identity(degree)
+        return {}
     if not text:
         raise CycleNotationError("empty cycle notation (use '()' for the identity)")
-    images = list(range(degree))
-    seen: set[int] = set()
+    images: dict[int, int] = {}
     pos = 0
     while pos < len(text):
         m = _CYCLE_RE.match(text, pos)
         if m is None:
             raise CycleNotationError(f"malformed cycle notation {text!r} at position {pos}")
         points = [int(tok) for tok in m.group(1).split(",")]
-        for p in points:
+        for p, q in zip(points, points[1:] + points[:1]):
             if not 1 <= p <= degree:
                 raise CycleNotationError(f"point {p} out of range for degree {degree}")
-            if p in seen:
+            if p - 1 in images:
                 raise CycleNotationError(f"point {p} repeated across cycles in {text!r}")
-            seen.add(p)
-        for a, b in zip(points, points[1:] + points[:1]):
-            images[a - 1] = b - 1
+            images[p - 1] = q - 1
         pos = m.end()
-    return Permutation(images)
+    return images

@@ -7,6 +7,7 @@ Python's arbitrary-precision integers act as dense bit vectors.
 
 from __future__ import annotations
 
+import operator
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -48,7 +49,9 @@ class ElemSet:
         read once.  The range is checked once: one ``max`` before any shift,
         so a huge id allocates nothing, and the shift refuses a negative id.
         Only a bad id, or ids that are not Python ints (numpy scalars in a
-        list), take the id-by-id path, which names the first bad id."""
+        list), take the id-by-id path, which names the first bad id: one out
+        of range, or one that is not an integer (``operator.index``), as a
+        float or a string, which is never truncated."""
         ids = ids.tolist() if isinstance(ids, np.ndarray) else list(ids)
         mask = 0
         try:
@@ -61,7 +64,11 @@ class ElemSet:
             mask = -1
         if type(mask) is not int or mask < 0:
             mask = 0
-            for i in map(int, ids):
+            for i in ids:
+                try:
+                    i = operator.index(i)
+                except TypeError:
+                    raise ValueError(f"element id {i!r} is not an integer") from None
                 if not 0 <= i < universe_order:
                     raise ValueError(f"element id {i} out of range for universe of order {universe_order}")
                 mask |= 1 << i

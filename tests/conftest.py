@@ -288,6 +288,41 @@ def former_f_group_counts(G):
     return report.as_dict()
 
 
+def product_mask(a, b, m):
+    """The mask of A x B in ``c.direct_product(G, H)``, |H| = m, from the
+    masks of A in G and B in H: (g, h) has id g*m + h."""
+    out = 0
+    for g in ids_from_mask(a):
+        out |= b << g * m
+    return out
+
+
+def product_lattice_masks(G, H):
+    """The node masks of G x H's centralizer lattice from its factors'.
+    C(S) = C(pi1 S) x C(pi2 S), so the nodes are the A x B over the nodes A
+    of G's lattice and B of H's."""
+    m = H.order
+    return {product_mask(a.mask, b.mask, m) for a in c.build_lattice(G).nodes for b in c.build_lattice(H).nodes}
+
+
+def product_z_star_classes(G, H):
+    """(members, centralizer, element center) masks of every Z*-class of
+    G x H from its factors': C(g, h) = C(g) x C(h), so each class is a
+    product of classes, with the products of their centralizers and centers."""
+    m = H.order
+    triples = [[(cl.members.mask, cl.cent.mask, cl.ecenter.mask) for cl in c.z_star_partition(K)] for K in (G, H)]
+    return {tuple(product_mask(x, y, m) for x, y in zip(a, b)) for a in triples[0] for b in triples[1]}
+
+
+def product_moebius(G, H):
+    """mu of G x H's element-center poset by node mask from its factors'.
+    The poset is the product poset, on which mu is multiplicative (Stanley,
+    *Enumerative Combinatorics* vol. 1, Prop. 3.8.2)."""
+    m = H.order
+    mus = [{node.mask: mu for node, mu in zip(P.nodes, c.moebius(P).mu)} for P in map(c.center_poset, (G, H))]
+    return {product_mask(a, b, m): x * y for a, x in mus[0].items() for b, y in mus[1].items()}
+
+
 def naive_u_star(G, H, xs, cents):
     """U*_H by definition: the ids x in ``xs`` whose centralizer contains H.
     ``cents`` caches naive_centralizer(G, [x]) as a mask per x."""

@@ -359,6 +359,20 @@ class TestExitCodes:
         assert res.stdout == ""
         assert res.stderr == f"centra: {message}, the largest order whose table fits in CENTRA_TABLE_BYTES\n"
 
+    def test_generator_file_of_huge_degree_is_refused_at_once(self, tmp_path):
+        # the 22-byte file declares 10^8 points: its two image rows (the
+        # generator and the identity), at 4 bytes a point, are refused before
+        # anything of the degree's size is allocated
+        path = tmp_path / "c2.gens"
+        path.write_text("perm 100000000\n(1,2)\n")
+        res = run_cli("analyze", "--gens", str(path), env_extra={"CENTRA_TABLE_BYTES": str(16 << 20)}, timeout=5)
+        assert res.returncode == 2
+        assert res.stdout == ""
+        assert res.stderr == (
+            "centra: c2: 2 permutation rows of 100000000 points take 800000000 bytes, "
+            "more than the 16777216 of CENTRA_TABLE_BYTES\n"
+        )
+
     @pytest.mark.parametrize("raw", ["0", "-1", "1GB", ""])
     def test_bad_table_bytes_is_usage_error(self, raw):
         res = run_cli("analyze", "--builtin", "dihedral:8", env_extra={"CENTRA_TABLE_BYTES": raw})

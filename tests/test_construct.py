@@ -116,6 +116,17 @@ def test_generated_in_small_row_blocks(case, monkeypatch):
     assert_matches(G, naive_permutation_group(gens, degree), "G")
 
 
+@pytest.mark.parametrize("case", ["ut4_3", "long_base"])
+def test_generator_file_matches_its_permutations(case, tmp_path):
+    gens = {
+        "ut4_3": unitriangular_generators(4, 3),
+        "long_base": [c.parse_cycle_notation(cyc, 4096) for cyc in LONG_BASE_CYCLES],
+    }[case]
+    path = tmp_path / "G.gens"
+    path.write_text(f"perm {gens[0].degree}\n" + "".join(g.cycle_string() + "\n" for g in gens))
+    assert_matches(c.group_from_generator_file(path), naive_permutation_group(gens), "G")
+
+
 @pytest.mark.parametrize("build", [
     lambda: c.builtin_group("cyclic", 2000),
     lambda: c.builtin_group("dihedral", 2000),
@@ -327,6 +338,43 @@ def test_refused_before_the_table_is_allocated(name, order, build, monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < table_bytes(order) // 8
+
+
+def test_generator_file_is_held_to_its_rows(tmp_path, monkeypatch):
+    # C2 declared on 10^6 points: construction allocates about the generator
+    # rows of the declared degree (4 MB of uint32), then works on the two
+    # points the generator moves; one byte less than the two rows refuses it
+    import tracemalloc
+
+    path = tmp_path / "c2.gens"
+    path.write_text("perm 1000000\n(1,2)\n")
+    tracemalloc.start()
+    try:
+        G = c.group_from_generator_file(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (G.order, G.labels) == (2, ("()", "(1,2)"))
+    assert peak < 3 * 4 * 10**6, peak
+    monkeypatch.setenv("CENTRA_TABLE_BYTES", str(2 * 4 * 10**6 - 1))
+    with pytest.raises(ValueError) as err:
+        c.group_from_generator_file(path)
+    assert str(err.value) == (
+        "c2: 2 permutation rows of 1000000 points take 8000000 bytes, more than the 7999999 of CENTRA_TABLE_BYTES"
+    )
+
+
+def test_closure_is_held_to_the_bytes_it_stores(monkeypatch):
+    # an involution of 20 points: its table (8 bytes) fits in 64 bytes, but
+    # the image rows of its two elements, of 20 uint16 points each, do not
+    gen = c.parse_cycle_notation("".join(f"({2 * i + 1},{2 * i + 2})" for i in range(10)), 20)
+    monkeypatch.setenv("CENTRA_TABLE_BYTES", "80")
+    assert c.group_from_generators([gen]).order == 2
+    monkeypatch.setenv("CENTRA_TABLE_BYTES", "79")
+    with pytest.raises(ValueError) as err:
+        c.group_from_generators([gen])
+    assert not isinstance(err.value, c.OrderBoundError)
+    assert str(err.value) == "G: 2 permutation rows of 20 points take 80 bytes, more than the 79 of CENTRA_TABLE_BYTES"
 
 
 @pytest.mark.parametrize("gens,degree,message", [

@@ -1,4 +1,5 @@
 import random
+import re
 
 import numpy as np
 import pytest
@@ -52,6 +53,24 @@ def test_out_of_range_message_names_first_bad_id(ids, bad):
         ElemSet.from_ids(4, ids)
     with pytest.raises(ValueError, match=f"^{message}$"):
         ElemSet.from_ids(4, np.array(ids))
+
+
+@pytest.mark.parametrize("ids,bad", [
+    ([1.5], "1.5"),
+    ([np.float64(3.7)], repr(np.float64(3.7))),
+    (["1"], "'1'"),
+    (np.array([1.5, 2.2]), "1.5"),        # a float array's tolist gives floats
+    ([0, 2.0], "2.0"),                    # integral, but still not an integer
+    ([3, 2.5, 9], "2.5"),                 # the first bad id in input order is named
+])
+def test_non_integer_id_rejected_not_truncated(ids, bad):
+    with pytest.raises(ValueError, match=f"^element id {re.escape(bad)} is not an integer$"):
+        ElemSet.from_ids(4, ids)
+
+
+def test_out_of_range_named_before_a_later_non_integer():
+    with pytest.raises(ValueError, match="^element id 9 out of range for universe of order 4$"):
+        ElemSet.from_ids(4, [1, 9, 2.5])
 
 
 def test_generator_input_read_once():
