@@ -75,6 +75,8 @@ def _group_from_atom(atom: str) -> Group:
 def load_group(args: argparse.Namespace) -> tuple[Group, str]:
     """Resolve the group-spec flags to a Group and its descriptor string."""
     if args.builtin:
+        if args.builtin.partition(":")[0].strip().lower() not in BUILTIN_FAMILIES:
+            raise ValueError(f"--builtin {args.builtin!r}: not a builtin family ({', '.join(BUILTIN_FAMILIES)})")
         return _group_from_atom(args.builtin), f"builtin:{args.builtin}"
     if args.table:
         return group_from_cayley_table(args.table), f"table:{args.table}"

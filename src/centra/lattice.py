@@ -190,13 +190,13 @@ def center_poset(G: Group) -> CenterPoset:
 @per_group
 def is_f_group(G: Group) -> bool:
     """True iff the proper element centralizers form an antichain, that is,
-    ``f_group_chain_witness`` finds no chain.
-
-    Checked again, dually, on the element centers; the two views must agree.
-    """
-    centers = [c.ecenter.mask for c in z_star_partition(G) if c.cent.mask != G.full_mask]
+    ``f_group_chain_witness`` finds no chain.  Checked again, dually: the
+    element centers form one iff each non-central Z(y) holds one non-central
+    class representative, y's own.  The two views must agree."""
     by_cents = f_group_chain_witness(G) is None
-    by_centers = not any(a != b and a & ~b == 0 for a in centers for b in centers)
+    reps = class_transversal(G).mask & ~G.center.mask
+    by_centers = all(c.ecenter.mask & reps == 1 << c.representative
+                     for c in z_star_partition(G) if c.cent.mask != G.full_mask)
     if by_cents != by_centers:
         raise InvariantViolation("centralizer and element-center antichain checks disagree")
     return by_cents
@@ -205,12 +205,15 @@ def is_f_group(G: Group) -> bool:
 @per_group
 def f_group_chain_witness(G: Group) -> Optional[tuple[int, int]]:
     """Representatives (x, y) with C_G(x) properly inside C_G(y), if any;
-    the first such pair in class order, found once per group."""
-    classes = [c for c in z_star_partition(G) if c.cent.mask != G.full_mask]
-    for a in classes:
-        for b in classes:
-            if a.cent.mask != b.cent.mask and a.cent.mask & ~b.cent.mask == 0:
-                return (a.representative, b.representative)
+    the first such pair in class order, found once per group.
+
+    C(x) is properly inside C(y) iff y lies in Z(x) but not in Z*(x).  The
+    non-central such y form a union of Z*-classes, so their least id is the
+    representative of the first of those classes."""
+    for c in z_star_partition(G):
+        inside = c.ecenter.mask & ~c.members.mask & ~G.center.mask
+        if inside:
+            return (c.representative, (inside & -inside).bit_length() - 1)
     return None
 
 

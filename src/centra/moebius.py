@@ -7,9 +7,9 @@ from dataclasses import dataclass, field
 from functools import wraps
 from typing import Callable, Optional
 
-from .centralizers import z_star_partition
+from .centralizers import class_transversal, z_star_partition
 from .groups import Group, InvariantViolation, _least_prime, per_group
-from .lattice import CenterPoset, CentLattice, build_lattice, center_poset, is_f_group
+from .lattice import CenterPoset, build_lattice, center_poset, is_f_group
 from .sets import ids_from_mask
 
 
@@ -154,31 +154,24 @@ def check_class_size_congruence(G: Group, p: int) -> CongruenceReport:
     return report
 
 
-def _sums_within(lat: CentLattice, weights) -> list[int]:
-    """Per lattice node H, the total weight of the (element center, weight)
-    pairs with the center in H: the center's node and its ``above`` get it."""
-    sums = [0] * len(lat.nodes)
-    for center, weight in weights:
-        i = lat.index_of(center)
-        for j in (i, *ids_from_mask(lat.above[i])):
-            sums[j] += weight
-    return sums
-
-
 @_once_per_group(nonabelian=True)
 def check_mob_sums(G: Group, p: int) -> CongruenceReport:
     """Both Möbius sum congruences over the centralizer lattice, read from one
-    table of mu-sums over the non-central element centers within each node.
-
-    For every node H properly containing Z(G), the sum within H is -1 mod p;
-    dually, for every node H properly inside G, so is the mu-sum over proper
-    element centralizers containing H (at their centers), which is the sum
-    within C(H) by the Galois duality H <= C(x) iff Z(x) <= C(H).
+    table of mu-sums within each node H: a centralizer holds Z(x) iff it holds
+    x, so the sum runs over the non-central class representatives in H.  For
+    every node H properly containing Z(G), it is -1 mod p; dually, for every
+    node H properly inside G, so is the mu-sum over proper element
+    centralizers containing H (at their centers), which is the sum within
+    C(H) by the Galois duality H <= C(x) iff Z(x) <= C(H).
     """
     lat = build_lattice(G)
     table = moebius(center_poset(G))
-    within = _sums_within(lat, ((c.ecenter, table.value(c.ecenter))
-                                for c in z_star_partition(G) if c.cent.mask != G.full_mask))
+    reps = class_transversal(G).mask & ~G.center.mask
+    at_mu: dict[int, int] = {}  # each mu value's non-central class representatives
+    for c in z_star_partition(G):
+        m = table.value(c.ecenter)
+        at_mu[m] = at_mu.get(m, 0) | (1 << c.representative & reps)
+    within = [sum(m * (node.mask & r).bit_count() for m, r in at_mu.items()) for node in lat.nodes]
     report = CongruenceReport("mob_sums", G.name, p)
     for i in range(len(lat.nodes)):
         if i != lat.bottom:
@@ -193,16 +186,16 @@ def check_f_group_counts(G: Group, p: int) -> CongruenceReport:
     """F-group counting congruences.
 
     Per proper element centralizer C(x), the non-central element centers in
-    C(x) and the proper element centralizers containing Z(x) number 1 mod p:
-    one count per lattice node, as Z(x) <= C(y) iff y in C(Z(x)) = C(x) iff
-    Z(y) <= C(x).  |Z(G)-centers| is 1 mod p; mu = -1 off the minimal node.
+    C(x) and the proper element centralizers containing Z(x) number 1 mod p.
+    Both counts are the non-central class representatives in C(x): Z(y) <= C(x)
+    iff y in C(x), and Z(x) <= C(y) iff y in C(Z(x)) = C(x).  |Z(G)-centers|
+    is 1 mod p; mu = -1 off the minimal node.
     """
     poset = center_poset(G)
     table = moebius(poset)
-    lat = build_lattice(G)
     classes = [c for c in z_star_partition(G) if c.cent.mask != G.full_mask]
-    within = _sums_within(lat, ((c.ecenter, 1) for c in classes))
-    counts = [within[lat.index_of(c.cent)] for c in classes]
+    reps = class_transversal(G).mask & ~G.center.mask
+    counts = [(c.cent.mask & reps).bit_count() for c in classes]
     report = CongruenceReport("f_group_counts", G.name, p)
     for c, count in zip(classes, counts):
         report.add(f"centers within C({G.labels[c.representative]})", count, 1)

@@ -242,6 +242,28 @@ def leq_moebius(obj):
     return mu
 
 
+def former_f_group_chain_witness(G):
+    """``f_group_chain_witness(G)`` by the former scan of every pair of
+    non-central Z*-classes for a proper containment of centralizers."""
+    classes = [cl for cl in c.z_star_partition(G) if cl.cent.mask != G.full_mask]
+    for a in classes:
+        for b in classes:
+            if a.cent.mask != b.cent.mask and a.cent.mask & ~b.cent.mask == 0:
+                return (a.representative, b.representative)
+    return None
+
+
+def former_is_f_group(G):
+    """``is_f_group(G)`` by the former scans: no chain of proper element
+    centralizers, checked again on every pair of non-central element centers."""
+    centers = [cl.ecenter.mask for cl in c.z_star_partition(G) if cl.cent.mask != G.full_mask]
+    by_cents = former_f_group_chain_witness(G) is None
+    by_centers = not any(a != b and a & ~b == 0 for a in centers for b in centers)
+    if by_cents != by_centers:
+        raise c.InvariantViolation("centralizer and element-center antichain checks disagree")
+    return by_cents
+
+
 def former_mob_sums(G):
     """``check_mob_sums(G).as_dict()`` by the former scan of every lattice
     node against every non-central Z*-class, at the group's own prime."""

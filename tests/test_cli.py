@@ -225,6 +225,18 @@ class TestExitCodes:
         assert res.returncode == 2
         assert "centra:" in res.stderr
 
+    @pytest.mark.parametrize("kind", ["table", "gens"])
+    def test_builtin_takes_only_a_family(self, tmp_path, kind):
+        """A file atom is a --product part, not a builtin: it is refused before
+        the file is read."""
+        path = tmp_path / "q8.tbl"
+        path.write_text(c.cayley_table_text(c.builtin_group("quaternion8")))
+        res = run_cli("analyze", "--builtin", f"{kind}:{path}")
+        assert res.returncode == 2
+        assert res.stdout == ""
+        assert res.stderr.startswith(f"centra: --builtin '{kind}:{path}': not a builtin family (cyclic, ")
+        assert res.stderr.count("\n") == 1 and "Traceback" not in res.stderr
+
     @pytest.mark.parametrize("flag,spec,param", [
         ("--builtin", "cyclic:abc", "abc"),
         ("--builtin", "cyclic:3:4", "3:4"),

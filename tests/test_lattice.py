@@ -5,8 +5,12 @@ import pytest
 import centra as c
 from conftest import (
     ORDER_FLEET,
+    FlippedCentMasks,
     by_label,
+    extraspecial_32,
     former_bit_string_key,
+    former_f_group_chain_witness,
+    former_is_f_group,
     former_node_sort_key,
     former_transversal_error,
     label_set,
@@ -280,6 +284,48 @@ class TestFGroup:
             "D8xC2": True, "D8xD8": False, "H3xH3": False, "UT4_2": False,
         }
         assert {k: c.is_f_group(G) for k, G in fleet.items()} == expected
+
+    def test_matches_former_scans(self, fleet, order_fleet, ut52, s4):
+        """The class-representative tests give the former pair scans' witness
+        and verdict, F-groups and non-F-groups alike; 2^(1+4) is the F-group
+        whose proper C(x) is not Z(x)."""
+        groups = [*fleet.values(), *order_fleet.values(), ut52, extraspecial_32(), c.direct_product(s4, s4)]
+        for G in groups:
+            assert c.f_group_chain_witness(G) == former_f_group_chain_witness(G), G.name
+            assert c.is_f_group(G) == former_is_f_group(G), G.name
+
+    def test_views_disagree_on_a_flipped_mask(self, d8):
+        """Dropping element 1 from C(e) leaves no chain of centralizers to
+        find, while the element centers, read through the class
+        representatives, no longer form an antichain."""
+        bad = FlippedCentMasks(d8, 0, 1)
+        assert c.f_group_chain_witness(bad) is None
+        with pytest.raises(c.InvariantViolation, match="^centralizer and element-center antichain checks disagree$"):
+            c.is_f_group(bad)
+
+
+class TestPartitionTheorem:
+    """Every centralizer is a union of Z*-classes over the element centers it
+    holds: the rule the F-group test and the congruence reports read."""
+
+    @pytest.mark.parametrize("key", ["fleet", "order_fleet"])
+    def test_node_holds_center_iff_it_holds_element(self, request, key):
+        for G in request.getfixturevalue(key).values():
+            for node in c.build_lattice(G).nodes:
+                for cl in c.z_star_partition(G):
+                    inside = (node.mask >> cl.representative) & 1 == 1
+                    assert (cl.ecenter.mask & ~node.mask == 0) == inside, (G.name, node, cl.representative)
+                    assert (cl.members.mask & ~node.mask == 0) == inside, (G.name, node, cl.representative)
+
+    @pytest.mark.parametrize("key", ["fleet", "order_fleet"])
+    def test_proper_containment_iff_outside_class(self, request, key):
+        for G in request.getfixturevalue(key).values():
+            classes = c.z_star_partition(G)
+            for a in classes:
+                for b in classes:
+                    proper = a.cent.mask != b.cent.mask and a.cent.mask & ~b.cent.mask == 0
+                    beyond = ((a.ecenter.mask & ~a.members.mask) >> b.representative) & 1 == 1
+                    assert proper == beyond, (G.name, a.representative, b.representative)
 
 
 class TestHasse:
