@@ -96,7 +96,8 @@ def u_star(G: Group, H: SetLike, X: SetLike) -> ElemSet:
 
     Requires H to be a centralizer (a fixed point of the closure) and X to
     contain exactly one representative per Z*-class; then C_G(U*_H) = H.
-    As H <= C_G(x) iff x lies in C_G(H), U*_H is X & C_G(H).
+    As H <= C_G(x) iff x lies in C_G(H), U*_H is X & C_G(H); ``CentLattice.ustar``
+    reads it off the centralizer each node's ``dual`` computes, without these checks.
     """
     hm = G.elem_set(H).mask
     chm = centralizer_mask(G, hm)

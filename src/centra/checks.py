@@ -273,9 +273,7 @@ def lattice_suite(G: Group, rng: random.Random, samples: int) -> list[PropertyRe
             else (f"dual(dual({lat.labels[i]})) != itself" for i in range(k) if dual[dual[i]] != i))
 
     if k * k > 4 * samples and k > 40:
-        pair_idx = [
-            (rng.randrange(k), rng.randrange(k)) for _ in range(4 * samples)
-        ]
+        pair_idx = [(rng.randrange(k), rng.randrange(k)) for _ in range(4 * samples)]
     else:
         pair_idx = [(i, j) for i in range(k) for j in range(k)]
     node_masks = [node.mask for node in nodes]
@@ -289,17 +287,18 @@ def lattice_suite(G: Group, rng: random.Random, samples: int) -> list[PropertyRe
     # Meets and joins by node masks, memoised; a call that raises stores nothing.
     meet = functools.cache(lambda a, b: lat.meet(node[a], node[b]).mask)
     join = functools.cache(lambda a, b: lat.join(node[a], node[b]).mask)
-    holders = map(_bool_row_mask, _subset_matrix(node_masks, node_masks, G.order))
-    up = dict(zip(node_masks, holders))  # up[m]: the nodes holding node m, a mask over node indices
+    # up[m]: the nodes holding node m, a mask over node indices, for each pair's nodes and join
+    touched = list(dict.fromkeys(m for i, j in pair_idx
+                                 for m in (node_masks[i], node_masks[j], join(node_masks[i], node_masks[j]))))
+    up = dict(zip(touched, map(_bool_row_mask, _subset_matrix(touched, node_masks, G.order))))
 
     def meet_join_failures():
         for i, j in pair_idx:
             H, K = node_masks[i], node_masks[j]
-            m, jn = meet(H, K), join(H, K)
-            if m != H & K:
+            if meet(H, K) != H & K:
                 yield f"meet({lat.labels[i]},{lat.labels[j]})"
             # Join must be the least node holding both: just the nodes holding both hold it.
-            if up[jn] != up[H] & up[K]:
+            if up[join(H, K)] != up[H] & up[K]:
                 yield f"join({lat.labels[i]},{lat.labels[j]})"
 
     s.check("meet_join_closed_and_least", meet_join_failures(), f"{len(pair_idx)} node pairs")
@@ -311,9 +310,7 @@ def lattice_suite(G: Group, rng: random.Random, samples: int) -> list[PropertyRe
              != ustar[i].mask & ustar[j].mask),
             f"{len(pair_idx)} node pairs")
 
-    triples = [
-        (rng.randrange(k), rng.randrange(k), rng.randrange(k)) for _ in range(samples)
-    ]
+    triples = [(rng.randrange(k), rng.randrange(k), rng.randrange(k)) for _ in range(samples)]
 
     def law_failures():
         for i, j, l in triples:
@@ -371,10 +368,7 @@ def partition_suite(G: Group, rng: random.Random, samples: int) -> list[Property
             if not is_abelian_subset(G, c.ecenter):
                 yield f"Z({name(c)}) not abelian"
             # Element center must be the center of the centralizer.
-            zc = 0
-            for m in c.cent:
-                if c.cent.mask & ~G.cent_masks[m] == 0:
-                    zc |= 1 << m
+            zc = sum(1 << m for m in c.cent if c.cent.mask & ~G.cent_masks[m] == 0)
             if zc != c.ecenter.mask:
                 yield f"Z({name(c)}) != Z(C(.))"
 
@@ -390,9 +384,7 @@ def partition_suite(G: Group, rng: random.Random, samples: int) -> list[Property
             for m in c.members:
                 if (covered >> m) & 1:
                     continue
-                coset = 0
-                for zi in z:
-                    coset |= 1 << G.table.item(m, zi)
+                coset = sum(1 << G.table.item(m, zi) for zi in z)  # m*z are distinct
                 if coset & ~c.members.mask:
                     yield f"coset of {G.labels[m]} leaves its class"
                 covered |= coset

@@ -14,7 +14,7 @@ from typing import Callable, Iterable, Optional, Sequence, Union
 import numpy as np
 
 from .centralizers import class_transversal, z_star_partition
-from .groups import Group, SetLike, per_group, subgroup_label
+from .groups import Group, SetLike, _node_label, per_group
 from .lattice import CenterPoset, CentLattice, hasse_edges
 from .moebius import MoebiusTable
 from .sets import ElemSet, ids_from_mask
@@ -133,7 +133,7 @@ def transversal_graph(G: Group, T: Optional[SetLike] = None) -> GroupGraph:
 
 @per_group
 def _default_transversal_graph(G: Group) -> GroupGraph:
-    return transversal_graph(G, default_transversal(G))
+    return _commuting_subgraph(G, "transversal", default_transversal(G).mask)
 
 
 @per_group
@@ -146,7 +146,7 @@ def centralizer_graph(G: Group) -> GroupGraph:
     _require_nonabelian(G, "centralizer")
     ecenters = {c.representative: c.ecenter for c in z_star_partition(G)}
     return _commuting_subgraph(G, "centralizer", class_transversal(G).mask,
-                               lambda g: subgroup_label(G, ecenters[g]))
+                               lambda g: _node_label(G, ecenters[g]))
 
 
 @per_group

@@ -459,9 +459,20 @@ def subgroup_label(G: Group, H: SetLike) -> str:
 
     A label depends on H's mask only, so it is memoised per group by mask:
     a lattice, a poset and a graph labelling one subgroup work it out once.
-    A call that raises stores nothing.
+    A call that raises stores nothing: ValueError on a set that is not a
+    subgroup, which ``_node_label``, for lattice, poset and graph nodes, skips.
     """
     H = G.elem_set(H)
+    try:
+        if H.mask & 1:
+            return _node_label(G, H)
+    except InvariantViolation:
+        if is_subgroup(G, H):
+            raise
+    raise ValueError("H is not a subgroup")
+
+
+def _node_label(G: Group, H: ElemSet) -> str:
     known = _subgroup_labels(G)
     label = known.get(H.mask)
     if label is None:
@@ -472,14 +483,13 @@ def subgroup_label(G: Group, H: SetLike) -> str:
 def _label_subgroup(G: Group, H: ElemSet) -> str:
     if H.mask == G.full_mask:
         return G.name
-    members = H.members
-    nontrivial = [m for m in members if m != 0]
-    if not nontrivial:
+    if H.mask == 1:
         return G.labels[0]
+    members = H.members
     size = len(members)
     if size <= 729:
         orders = element_orders(G)
-        for m in nontrivial:
+        for m in members:  # the identity's order, 1, is not size
             if orders[m] == size and _generate(G, (m,))[0] == H.mask:
                 return f"<{G.labels[m]}>"
     mask, gens = _generate(G, members)

@@ -5,8 +5,8 @@ from __future__ import annotations
 import weakref
 from typing import Optional, Union
 
-from .centralizers import centralizer_mask, class_transversal, u_star, z_star_partition
-from .groups import Group, InvariantViolation, per_group, subgroup_generated_by, subgroup_label
+from .centralizers import centralizer_mask, class_transversal, z_star_partition
+from .groups import Group, InvariantViolation, _node_label, per_group, subgroup_generated_by
 from .sets import ElemSet, Subgroup, ids_from_mask
 
 NodeLike = Union[int, Subgroup, ElemSet]
@@ -68,7 +68,7 @@ class _NodeOrder:
     @property
     @per_group
     def labels(self) -> tuple[str, ...]:
-        return tuple(subgroup_label(self.group, node) for node in self.nodes)
+        return tuple(_node_label(self.group, node) for node in self.nodes)
 
     @property
     @per_group
@@ -104,20 +104,24 @@ class CentLattice(_NodeOrder):
     """All distinct centralizers of a group, ordered by containment.
 
     ``dual`` maps a node index to the index of its centralizer; it is an
-    order-reversing involution.
+    order-reversing involution.  ``ustar`` holds U*_H of every node H over the
+    class transversal X, read off the same centralizer: X & C_G(H).
     """
 
     _kind = "lattice"
 
     def __init__(self, group: Group, masks: list[int]):
         super().__init__(group, masks)
-        dual = []
+        X = class_transversal(group).mask
+        dual, ustar = [], []
         for node in self.nodes:
             dm = centralizer_mask(group, node.mask)
             if dm not in self._index:
                 raise InvariantViolation("dual of a lattice node is not a node")
             dual.append(self._index[dm])
+            ustar.append(ElemSet(group.order, X & dm))
         self.dual = tuple(dual)
+        self.ustar = tuple(ustar)
         self.top = self._index[group.full_mask]
         self.bottom = self._index[group.center.mask]
 
@@ -136,13 +140,6 @@ class CentLattice(_NodeOrder):
         if k is None:
             raise InvariantViolation("join of lattice nodes is not a node")
         return self.nodes[self.dual[k]]
-
-    @property
-    @per_group
-    def ustar(self) -> tuple[ElemSet, ...]:
-        """U*_H of every node H over the default transversal; see ``u_star``."""
-        X = class_transversal(self.group)
-        return tuple(u_star(self.group, node, X) for node in self.nodes)
 
 
 @per_group

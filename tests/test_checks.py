@@ -463,6 +463,23 @@ def test_corrupted_structure_witnesses_pinned_s5(order_fleet, monkeypatch):
         "daf09dd5c3c7bdf581577fcaf316ab1121a7df7ee103992cd921ebd3fb9f9e74", 1983)
 
 
+def test_lattice_suite_reads_only_the_rows_of_its_pairs(s4, monkeypatch):
+    """On S4 x S4's 361 nodes, 10 samples draw 40 node pairs: the containment
+    rows asked for are at most each pair's nodes and their join, not k."""
+    G = c.direct_product(s4, s4)
+    rows = []
+
+    def spy(A, B, n):
+        rows.append(len(A))
+        return _subset_matrix(A, B, n)
+
+    monkeypatch.setattr(checks, "_subset_matrix", spy)
+    results = checks.lattice_suite(G, random.Random(0), 10)
+    assert len(c.build_lattice(G)) == 361
+    assert not any(r.failed for r in results)
+    assert len(rows) == 1 and rows[0] <= 3 * 40, rows
+
+
 def test_centralizer_graph_duality_reads_both_sides(s4, monkeypatch):
     """Each pair's edge is compared with Z(j) <= C(i) and with Z(i) <= C(j): a
     partition whose last class takes its centralizer for its element center

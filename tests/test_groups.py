@@ -677,9 +677,26 @@ class TestSubgroupLabel:
         vertices = [cl.ecenter for cl in c.z_star_partition(G) if cl.cent.mask != G.full_mask]
         assert c.centralizer_graph(G).labels == tuple(former_subgroup_label(G, e) for e in vertices)
 
-    @pytest.mark.parametrize("labels", [("1", "a"), ("a^2",), ("a", "b"), ("1", "a^2", "b", "ab")])
+    @pytest.mark.parametrize("labels", [("1", "a"), ("a^2",), ("a", "b"), ("1", "a^2", "b", "ab"), ()])
     def test_non_subgroup_raises(self, d8, labels):
+        """A set that is not a subgroup is a caller's error (ValueError), the
+        empty set too; the former labeller raised InvariantViolation on all
+        but the empty set, which it labelled 1."""
         S = d8.elem_set(by_label(d8, *labels))
-        for label in (c.subgroup_label, former_subgroup_label):
+        with pytest.raises(ValueError, match="^H is not a subgroup$"):
+            c.subgroup_label(d8, S)
+        if labels:
             with pytest.raises(c.InvariantViolation, match="^generator fell outside the subgroup$"):
-                label(d8, S)
+                former_subgroup_label(d8, S)
+        else:
+            assert former_subgroup_label(d8, S) == "1"
+        assert S.mask not in groups._subgroup_labels(d8)
+
+    def test_generator_outside_a_subgroup_is_a_bug(self, d8, monkeypatch):
+        """Only a closure that leaves a true subgroup raises InvariantViolation."""
+        G = c.Group(d8.table, d8.labels, d8.name)
+        S = G.elem_set(by_label(G, "1", "a^2", "b", "a^2b"))
+        real = groups._generate
+        monkeypatch.setattr(groups, "_generate", lambda G, ids: (G.full_mask, real(G, ids)[1]))
+        with pytest.raises(c.InvariantViolation, match="^generator fell outside the subgroup$"):
+            c.subgroup_label(G, S)

@@ -185,9 +185,17 @@ def test_abelian_quotient_consistency_raises_every_time():
 
 
 def test_s6_report_evaluates_u_star_once_per_lattice_node():
+    """U* of each lattice node comes from the centralizer pass that builds
+    ``dual``: a report calls the public ``u_star`` never, a second report
+    reads the same tuple, and each entry is what ``u_star`` gives."""
     G = c.builtin_group("symmetric", 6)
-    assert evaluations(c.u_star, lambda: build_report(G, G.name)) == len(c.build_lattice(G))
     assert evaluations(c.u_star, lambda: build_report(G, G.name)) == 0
+    lat = c.build_lattice(G)
+    ustar = lat.ustar
+    build_report(G, G.name)
+    assert c.build_lattice(G).ustar is ustar
+    X = c.class_transversal(G)
+    assert ustar == tuple(c.u_star(G, node, X) for node in lat.nodes)
 
 
 @pytest.mark.parametrize("make", [
