@@ -2,7 +2,9 @@
 
 Element id 0 is always the identity.  Tables are validated exactly on
 construction: identity, two-sided inverses and associativity, the last by
-Light's test on a generating set of at most log2(order) elements; a table
+Light's test on a generating set of at most log2(order) elements, first the
+generators a constructor built the table from, then the least element not
+yet reached (the only pick for ``Group(table)`` and table files); a table
 that passes is a group, hence a latin square.
 
 Every table, and the inverse map, is stored as ``uint16`` for orders up to
@@ -170,9 +172,11 @@ def _walk_table(name: str, n: int, gens: Sequence[tuple[int, Sequence[int]]]) ->
     return table
 
 
-def _validate_table(table: np.ndarray, name: str) -> tuple[np.ndarray, np.ndarray]:
+def _validate_table(
+    table: np.ndarray, name: str, seeds: Iterable[int] = ()
+) -> tuple[np.ndarray, np.ndarray, tuple[int, ...]]:
     """Check the group laws on ``table``; return it in ``_table_dtype`` with
-    its inverse map.
+    its inverse map and the generators Light's test ran on.
 
     The range is checked in the table's own dtype, before it is narrowed, so
     no entry wraps around; entries that are not integers are out of range.
@@ -180,17 +184,21 @@ def _validate_table(table: np.ndarray, name: str) -> tuple[np.ndarray, np.ndarra
     Identity and two-sided inverses are read off the table directly.
     Associativity is checked exactly by Light's test (Clifford & Preston,
     *The Algebraic Theory of Semigroups*, vol. 1, 1961): for an element a,
-    (x*a)*y = x*(a*y) for every x and y.  It is tested on each generator a,
-    the least element not yet reached, before ``_adjoin`` adjoins a to the
-    subgroup R reached so far, in row blocks of ``BLOCK_ENTRIES`` products.
+    (x*a)*y = x*(a*y) for every x and y.  It is tested on each generator a
+    before ``_adjoin`` adjoins a to the subgroup R reached so far, in row
+    blocks of ``BLOCK_ENTRIES`` products.  The generators are the ids in
+    ``seeds`` not yet reached, in order (a constructor passes the elements it
+    built the table from), then the least element not yet reached, until R
+    is everything; ``Group(table)`` and table files pass no seeds.
 
     The elements that pass form a submagma (Light's lemma), so with an
-    identity and inverses R is a group.  A passing generator g outside R at
-    least doubles R, since r*g in R would give g = r^-1*(r*g) in R; so at
-    most log2(n) generators are tested, and even a malformed table costs
-    O(n^2 log n), never O(n^3).  A table passing all three laws is a group,
-    hence a latin square: the latin checks run only after a failure, to
-    name the law in the order latin, inverse, associativity.
+    identity and inverses R is a group, whatever the seeds were.  A passing
+    generator g outside R at least doubles R, since r*g in R would give
+    g = r^-1*(r*g) in R; so at most log2(n) generators are tested, and even
+    a malformed table costs O(n^2 log n), never O(n^3).  A table passing all
+    three laws is a group, hence a latin square: the latin checks run only
+    after a failure, to name the law in the order latin, inverse,
+    associativity.
     """
     if table.ndim != 2 or table.shape[0] != table.shape[1]:
         raise GroupTableError("shape", f"table of {name} is not square")
@@ -213,9 +221,11 @@ def _validate_table(table: np.ndarray, name: str) -> tuple[np.ndarray, np.ndarra
     item = table.item
     elements, reached, gens = [0], bytearray(n), []
     reached[0] = 1
-    a = 0
+    seeds, least = iter(seeds), 0
     while len(elements) < n:
-        a = reached.index(0, a)
+        a = next((s for s in seeds if not reached[s]), None)
+        if a is None:
+            a = least = reached.index(0, least)
         for rows in _row_blocks(n):
             block = table[rows]
             bad = table[block[:, a]] != np.take(block, table[a], axis=1)
@@ -224,7 +234,7 @@ def _validate_table(table: np.ndarray, name: str) -> tuple[np.ndarray, np.ndarra
                 x, y = np.argwhere(bad)[0] + (rows.start, 0)
                 raise GroupTableError("associativity", f"({x}*{a})*{y} != {x}*({a}*{y})")
         _adjoin(item, elements, reached, gens, a)
-    return table, inv
+    return table, inv, tuple(gens)
 
 
 def _check_latin(table: np.ndarray, ids: np.ndarray) -> None:
@@ -253,8 +263,12 @@ class Group:
         table: Sequence[Sequence[int]],
         labels: Optional[Sequence[str]] = None,
         name: str = "G",
+        *,
+        _seeds: Iterable[int] = (),
     ):
-        self.table, self.inv_table = _validate_table(np.asarray(table), name)
+        # _seeds: the ids a constructor built the table from, Light's first
+        # generators; _light_gens: every id Light's test ran on (direct_product's seeds)
+        self.table, self.inv_table, self._light_gens = _validate_table(np.asarray(table), name, _seeds)
         self.table.setflags(write=False)
         self.inv_table.setflags(write=False)
         self.order = int(self.table.shape[0])
@@ -568,8 +582,8 @@ def _permutation_group(name: str, gens: np.ndarray) -> Group:
             row.extend(map(index.__getitem__, map(bytes, products)))
     elements = (e for lo in range(0, len(found), step) for e in images(lo).tolist())
     labels = cycle_strings(elements, support.tolist())
-    table = _walk_table(name, len(found), list(zip(map(index.__getitem__, map(bytes, gens)), rows)))
-    return Group(table, labels, name)
+    ids = [index[bytes(g)] for g in gens]
+    return Group(_walk_table(name, len(found), list(zip(ids, rows))), labels, name, _seeds=ids)
 
 
 def group_from_generator_file(source: Union[str, Path]) -> Group:
@@ -656,7 +670,8 @@ def direct_product(G: Group, H: Group) -> Group:
     offsets = np.arange(0, n * m, m, dtype=_table_dtype(n * m))  # g -> g*m
     table = offsets[G.table][:, None, :, None] + H.table[None, :, None, :]
     labels = [f"({gl},{hl})" for gl in G.labels for hl in H.labels]
-    return Group(table.reshape(n * m, n * m), labels, name)
+    seeds = [g * m for g in G._light_gens] + list(H._light_gens)  # (g, 1) and (1, h)
+    return Group(table.reshape(n * m, n * m), labels, name, _seeds=seeds)
 
 
 def _cyclic_group(n: int) -> Group:
@@ -667,7 +682,7 @@ def _cyclic_group(n: int) -> Group:
         x = ids[rows, None] + ids
         table[rows] = np.subtract(x, n, out=x, where=x >= n)  # (i + j) % n, as i + j < 2n
     labels = ["1"] + ["g" if k == 1 else f"g^{k}" for k in range(1, n)]
-    return Group(table, labels, f"C{n}")
+    return Group(table, labels, f"C{n}", _seeds=(1,) if n > 1 else ())
 
 
 def _dihedral_group(order: int) -> Group:
@@ -681,7 +696,7 @@ def _dihedral_group(order: int) -> Group:
     gens = [(1 % n, np.concatenate([up, n + up])), (n, np.concatenate([n + down, down]))]
     rot = ["1"] + ["a" if i == 1 else f"a^{i}" for i in range(1, n)]
     ref = ["b"] + ["ab" if i == 1 else f"a^{i}b" for i in range(1, n)]
-    return Group(_walk_table(f"D{order}", order, gens), rot + ref, f"D{order}")
+    return Group(_walk_table(f"D{order}", order, gens), rot + ref, f"D{order}", _seeds=[g for g, _ in gens])
 
 
 def _quaternion_group() -> Group:
@@ -689,7 +704,7 @@ def _quaternion_group() -> Group:
     # j list i*h and j*h for h = 1, -1, i, -i, j, -j, k, -k
     gens = [(2, [2, 3, 1, 0, 6, 7, 5, 4]), (4, [4, 5, 7, 6, 1, 0, 2, 3])]
     labels = [s + ax for ax in ("1", "i", "j", "k") for s in ("", "-")]
-    return Group(_walk_table("Q8", 8, gens), labels, "Q8")
+    return Group(_walk_table("Q8", 8, gens), labels, "Q8", _seeds=[g for g, _ in gens])
 
 
 def _symmetric_group(n: int) -> Group:
@@ -708,7 +723,7 @@ def _symmetric_group(n: int) -> Group:
     generators = [(1, 0, *range(2, n)), (*range(1, n), 0)] if n > 1 else []
     gens = [(index[g], [index[p] for p in map(tuple, np.take(g, images).tolist())]) for g in generators]
     labels = ["1"] + cycle_strings(perms[1:], range(n))
-    return Group(_walk_table(f"S{n}", order, gens), labels, f"S{n}")
+    return Group(_walk_table(f"S{n}", order, gens), labels, f"S{n}", _seeds=[g for g, _ in gens])
 
 
 def _heisenberg_group(p: int) -> Group:
@@ -727,7 +742,7 @@ def _heisenberg_group(p: int) -> Group:
         for b in range(p)
         for c in range(p)
     ]
-    return Group(_walk_table(f"H{p}", n, gens), labels, f"H{p}")
+    return Group(_walk_table(f"H{p}", n, gens), labels, f"H{p}", _seeds=[g for g, _ in gens])
 
 
 def builtin_group(family: str, param: Optional[int] = None) -> Group:

@@ -668,6 +668,124 @@ class TestExactValidation:
         assert seen == {None, "latin", "inverse", "associativity"}
 
 
+def a5():
+    return c.group_from_generators(
+        [c.parse_cycle_notation("(1,2,3)", 5), c.parse_cycle_notation("(1,2,3,4,5)", 5)], name="A5"
+    )
+
+
+def light_generators(monkeypatch, build):
+    """(``build()``, the elements Light's test ran on while validating its
+    last table): the ``_adjoin`` calls on that validation's element list."""
+    calls = []
+    adjoin = groups._adjoin
+
+    def spying(item, elements, reached, gens, g, *rest):
+        calls.append((elements, g))
+        adjoin(item, elements, reached, gens, g, *rest)
+
+    with monkeypatch.context() as m:
+        m.setattr(groups, "_adjoin", spying)
+        G = build()
+    last = calls[-1][0]
+    return G, tuple(g for elements, g in calls if elements is last)
+
+
+class TestSeededValidation:
+    """Light's test on the generators a constructor built its table from,
+    then the greedy pick: the path of every builtin, product and generator
+    group.  ``Group(table)`` and table files take the unseeded path, which
+    ``TestExactValidation`` covers."""
+
+    @staticmethod
+    def assert_corruptions_rejected(monkeypatch, build, name, cases):
+        """``build()`` raises the naive oracle's law for each (x, y, v) in
+        ``cases``, when ``_validate_table`` checks, under the constructor's
+        seeds, a copy of the table ``name`` with entry (x, y) set to v."""
+        validate = groups._validate_table
+        for x, y, v in cases:
+            seen = []
+
+            def corrupting(table, tname, seeds=()):
+                if tname == name:
+                    table = table.copy()
+                    table[x, y] = v
+                    seen.append((table, seeds))
+                return validate(table, tname, seeds)
+
+            with monkeypatch.context() as m:
+                m.setattr(groups, "_validate_table", corrupting)
+                with pytest.raises(c.GroupTableError) as exc:
+                    build()
+            ((table, seeds),) = seen
+            assert list(seeds), name  # the seeded path
+            assert exc.value.law == naive_first_failing_law(table.tolist()), (name, x, y, v)
+
+    @pytest.mark.parametrize("spec", ["D8", "Q8", "S3xC2"])
+    def test_every_single_corruption_is_rejected(self, spec, monkeypatch):
+        build = {
+            "D8": lambda: c.builtin_group("dihedral", 8),
+            "Q8": lambda: c.builtin_group("quaternion8"),
+            "S3xC2": lambda: c.direct_product(c.builtin_group("symmetric", 3), c.builtin_group("cyclic", 2)),
+        }[spec]
+        T = build().table
+        n = len(T)
+        cases = [(x, y, v) for x in range(1, n) for y in range(1, n) for v in range(n) if v != T[x, y]]
+        self.assert_corruptions_rejected(monkeypatch, build, spec, cases)
+
+    @pytest.mark.parametrize("spec", ["S4", "H3", "A5"])
+    def test_sampled_corruptions_are_rejected(self, spec, monkeypatch):
+        build = {
+            "S4": lambda: c.builtin_group("symmetric", 4),
+            "H3": lambda: c.builtin_group("heisenberg", 3),
+            "A5": a5,
+        }[spec]
+        T = build().table
+        n = len(T)
+        rng = random.Random(26)
+        cases = []
+        for _ in range(150):
+            x, y = rng.randrange(1, n), rng.randrange(1, n)
+            cases.append((x, y, (T[x, y] + rng.randrange(1, n)) % n))
+        self.assert_corruptions_rejected(monkeypatch, build, spec, cases)
+
+    def test_seeds_that_repeat_or_do_not_generate(self, s4):
+        # (1,2) generates a subgroup of order 2; the greedy pick completes it
+        t = by_label(s4, "(1,2)")[0]
+        table, inv, gens = groups._validate_table(s4.table, "S4", seeds=(t, t, 0))
+        plain_table, plain_inv, _ = groups._validate_table(s4.table, "S4")
+        assert np.array_equal(table, plain_table) and np.array_equal(inv, plain_inv)
+        assert gens[0] == t and 1 < len(gens) <= math.floor(math.log2(s4.order)) == 4
+        assert groups._generate(s4, gens)[0] == s4.full_mask
+
+    @pytest.mark.parametrize("seed", range(1, 5))
+    def test_seeded_nonassociative_table_rejected(self, seed):
+        with pytest.raises(c.GroupTableError) as exc:
+            groups._validate_table(np.array(NONASSOC_LATIN_5), "L5", seeds=(seed,))
+        assert exc.value.law == "associativity"
+
+    def test_light_generators_tested(self, monkeypatch):
+        builds = {
+            "S6": lambda: c.builtin_group("symmetric", 6),
+            "S7": lambda: c.builtin_group("symmetric", 7),
+            "H3": lambda: c.builtin_group("heisenberg", 3),
+            "D8": lambda: c.builtin_group("dihedral", 8),
+            "Q8": lambda: c.builtin_group("quaternion8"),
+            "H3xH3": lambda: c.direct_product(*[c.builtin_group("heisenberg", 3)] * 2),
+            "S4xS4": lambda: c.direct_product(*[c.builtin_group("symmetric", 4)] * 2),
+            "UT4(3)": lambda: unitriangular(4, 3),
+        }
+        tested = {name: light_generators(monkeypatch, build) for name, build in builds.items()}
+        S6 = tested["S6"][0]
+        # a table file names no generators: the greedy pick, least element first
+        tested["S6 file"] = light_generators(monkeypatch, lambda: c.parse_cayley_table_text(c.cayley_table_text(S6)))
+        counts = {name: len(gens) for name, (G, gens) in tested.items()}
+        assert counts == {"S6": 2, "S7": 2, "H3": 2, "D8": 2, "Q8": 2, "H3xH3": 4, "S4xS4": 4, "UT4(3)": 3, "S6 file": 5}
+        for G, gens in tested.values():
+            assert G._light_gens == gens
+        assert tested["S6 file"][1] == (1, 2, 6, 24, 120)
+
+
 class TestSubgroupLabel:
     @pytest.mark.parametrize("name", ["d8", "q8", "s4", "H3xH3", "S6", "ut43xc3"])
     def test_matches_former_labels(self, name, request, fleet, order_fleet):
